@@ -16,8 +16,8 @@
 use appsim::workload::WorkloadSpec;
 use appsim::ReconfigCost;
 use multicluster::{
-    BackgroundLoad, CatalogError, ControlPlaneFaultSpec, FailurePolicy, FailureSpec, GramConfig,
-    MessageClass, NetworkError,
+    BackgroundError, BackgroundLoad, CatalogError, ControlPlaneFaultSpec, FailurePolicy,
+    FailureSpec, GramConfig, MessageClass, NetworkError,
 };
 use simcore::SimDuration;
 
@@ -127,6 +127,9 @@ pub enum ConfigError {
     /// A negative or non-finite per-processor reconfiguration traffic
     /// volume.
     NegativeReconfigTraffic(f64),
+    /// An invalid background-load model (zero or inverted size range,
+    /// zero mean duration, occupancy outside `[0, 1)`).
+    Background(BackgroundError),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -190,6 +193,7 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::Catalog(e) => e.fmt(f),
             ConfigError::Network(e) => e.fmt(f),
+            ConfigError::Background(e) => e.fmt(f),
             ConfigError::NetworkFile { index, reason } => {
                 write!(f, "network file {index}: {reason}")
             }
@@ -208,6 +212,7 @@ impl std::error::Error for ConfigError {
             ConfigError::Autoscaler(e) => Some(e),
             ConfigError::Catalog(e) => Some(e),
             ConfigError::Network(e) => Some(e),
+            ConfigError::Background(e) => Some(e),
             _ => None,
         }
     }
@@ -240,6 +245,12 @@ impl From<CatalogError> for ConfigError {
 impl From<NetworkError> for ConfigError {
     fn from(e: NetworkError) -> Self {
         ConfigError::Network(e)
+    }
+}
+
+impl From<BackgroundError> for ConfigError {
+    fn from(e: BackgroundError) -> Self {
+        ConfigError::Background(e)
     }
 }
 
@@ -826,6 +837,7 @@ impl ExperimentConfig {
         if self.report.quantile_capacity == 0 {
             return Err(ConfigError::ZeroQuantileCapacity);
         }
+        self.background.validate()?;
         self.elasticity.validate()?;
         if let Some(wf) = &self.warm_fork {
             let registry = PolicyRegistry::global();
@@ -978,6 +990,66 @@ mod tests {
         let err = bad.validate().unwrap_err();
         assert!(matches!(err, ConfigError::Policy(_)));
         assert!(err.to_string().contains("not_a_policy"));
+    }
+
+    /// The paper's PRA cell with light background load and one field
+    /// of the background model overwritten.
+    fn with_background(edit: impl FnOnce(&mut BackgroundLoad)) -> Result<(), ConfigError> {
+        let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
+        cfg.background = BackgroundLoad::light();
+        edit(&mut cfg.background);
+        cfg.validate()
+    }
+
+    #[test]
+    fn background_min_size_must_be_positive() {
+        assert_eq!(with_background(|b| b.size_range = (1, 1)), Ok(()));
+        assert_eq!(
+            with_background(|b| b.size_range = (0, 4)),
+            Err(ConfigError::Background(BackgroundError::ZeroMinSize))
+        );
+    }
+
+    #[test]
+    fn background_size_range_must_be_ordered() {
+        assert_eq!(
+            with_background(|b| b.size_range = (5, 4)),
+            Err(ConfigError::Background(
+                BackgroundError::InvertedSizeRange { lo: 5, hi: 4 }
+            ))
+        );
+    }
+
+    #[test]
+    fn background_mean_duration_must_be_positive() {
+        assert_eq!(
+            with_background(|b| b.mean_duration = SimDuration::ZERO),
+            Err(ConfigError::Background(BackgroundError::ZeroMeanDuration))
+        );
+    }
+
+    #[test]
+    fn background_occupancy_must_be_a_fraction_below_one() {
+        assert_eq!(
+            with_background(|b| b.occupancy_fraction = Some(0.0)),
+            Ok(())
+        );
+        for bad in [1.0, -0.1, 1e308, f64::INFINITY] {
+            assert_eq!(
+                with_background(|b| b.occupancy_fraction = Some(bad)),
+                Err(ConfigError::Background(
+                    BackgroundError::OccupancyOutOfRange(bad)
+                )),
+                "{bad}"
+            );
+        }
+        // NaN never compares equal, so match on the variant.
+        let err = with_background(|b| b.occupancy_fraction = Some(f64::NAN)).unwrap_err();
+        assert!(
+            matches!(err, ConfigError::Background(BackgroundError::OccupancyOutOfRange(v)) if v.is_nan()),
+            "{err}"
+        );
+        assert!(err.to_string().contains("occupancy_fraction"), "{err}");
     }
 
     #[test]

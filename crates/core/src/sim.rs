@@ -1819,7 +1819,7 @@ impl<'a> World<'a> {
         if grow_value == 0 {
             return;
         }
-        let views = self.running_views(cluster, true);
+        let views: Vec<RunningView> = self.running_views(cluster, true).collect();
         if views.is_empty() {
             return;
         }
@@ -1935,17 +1935,19 @@ impl<'a> World<'a> {
             .class
             .min_size();
         // Evaluate each cluster's potential: live idle + in-flight
-        // releases + what mandatory shrinks could still reclaim.
+        // releases + what mandatory shrinks could still reclaim. Nothing
+        // below changes occupancy before the shrink/grow decision, so
+        // the expansion-threshold headroom is read once.
+        let headroom = self.koala_headroom();
         let mut best: Option<(u32, usize)> = None;
         for c in 0..self.mc.len() {
             let cluster = ClusterId(c as u16);
             // Idle processors usable by KOALA (cap headroom applies);
             // shrinking running KOALA jobs frees headroom 1:1, so the
             // shrinkable amount is usable in full.
-            let usable_idle = self.mc.cluster(cluster).idle().min(self.koala_headroom());
+            let usable_idle = self.mc.cluster(cluster).idle().min(headroom);
             let shrinkable: u32 = self
                 .running_views(cluster, false)
-                .iter()
                 .map(|v| v.size - v.min)
                 .sum();
             let potential = usable_idle + self.pending_release[c] + shrinkable;
@@ -1966,8 +1968,7 @@ impl<'a> World<'a> {
             }
             return;
         }
-        let covered =
-            self.mc.cluster(cluster).idle().min(self.koala_headroom()) + self.pending_release[c];
+        let covered = self.mc.cluster(cluster).idle().min(headroom) + self.pending_release[c];
         if covered >= min_needed {
             return; // in-flight releases will make room; just wait.
         }
@@ -1978,7 +1979,7 @@ impl<'a> World<'a> {
     /// Runs the policy's mandatory-shrink procedure on one cluster.
     fn shrink_cluster(&mut self, engine: &mut Engine<Ev>, cluster: ClusterId, value: u32) {
         let now = engine.now();
-        let views = self.running_views(cluster, false);
+        let views: Vec<RunningView> = self.running_views(cluster, false).collect();
         if views.is_empty() || value == 0 {
             return;
         }
@@ -2970,7 +2971,6 @@ impl<'a> World<'a> {
         // releases have landed.
         let shrinkable: u32 = self
             .running_views(cluster, false)
-            .iter()
             .map(|v| v.size - v.min)
             .sum();
         if shrinkable == 0 && self.pending_release[cluster.index()] == 0 {
@@ -3247,7 +3247,11 @@ impl<'a> World<'a> {
     /// that can currently receive requests. `for_grow` filters to jobs
     /// below their maximum ("as long as at least one running malleable
     /// job can still be grown"); otherwise to jobs above their minimum.
-    fn running_views(&self, cluster: ClusterId, for_grow: bool) -> Vec<RunningView> {
+    fn running_views(
+        &self,
+        cluster: ClusterId,
+        for_grow: bool,
+    ) -> impl Iterator<Item = RunningView> + use<'_, 'a> {
         #[cfg(debug_assertions)]
         self.jobs.assert_hot_coherent();
         // The struct-of-arrays columns pre-select "running on this
@@ -3261,11 +3265,11 @@ impl<'a> World<'a> {
             // victim cleanup runs (later in the same event), the job
             // still looks Running but can no longer receive grow/shrink
             // requests — its allocation handle dangles.
-            .filter(|j| {
+            .filter(move |j| {
                 j.alloc
                     .is_some_and(|a| self.mc.cluster(cluster).alloc_size(a).is_some())
             })
-            .filter_map(|j| {
+            .filter_map(move |j| {
                 let runner = j.runner.as_ref().expect("eligible implies runner");
                 let size = runner.dynaco.size();
                 let (min, max) = (runner.dynaco.min(), runner.dynaco.max());
@@ -3278,7 +3282,6 @@ impl<'a> World<'a> {
                     max,
                 })
             })
-            .collect()
     }
 
     fn touch_util(&mut self, now: SimTime) {

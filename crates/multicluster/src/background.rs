@@ -74,6 +74,29 @@ impl BackgroundLoad {
         }
     }
 
+    /// Checks the parameters a run would otherwise trip over: a
+    /// zero-node local job is an allocation bug, an inverted size range
+    /// is meaningless, and a zero mean duration or an occupancy outside
+    /// `[0, 1)` makes local jobs arrive without end at one instant.
+    pub fn validate(&self) -> Result<(), BackgroundError> {
+        let (lo, hi) = self.size_range;
+        if lo == 0 {
+            return Err(BackgroundError::ZeroMinSize);
+        }
+        if lo > hi {
+            return Err(BackgroundError::InvertedSizeRange { lo, hi });
+        }
+        if self.mean_duration.is_zero() {
+            return Err(BackgroundError::ZeroMeanDuration);
+        }
+        if let Some(f) = self.occupancy_fraction {
+            if !(0.0..1.0).contains(&f) {
+                return Err(BackgroundError::OccupancyOutOfRange(f));
+            }
+        }
+        Ok(())
+    }
+
     /// True when the model generates any jobs at all.
     pub fn is_active(&self) -> bool {
         self.mean_interarrival.is_some()
@@ -117,6 +140,45 @@ impl BackgroundLoad {
     }
 }
 
+/// An invalid [`BackgroundLoad`] (see [`BackgroundLoad::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BackgroundError {
+    /// `size_range.0` is zero: local jobs must ask for at least one node.
+    ZeroMinSize,
+    /// `size_range.0 > size_range.1`.
+    InvertedSizeRange {
+        /// The lower bound.
+        lo: u32,
+        /// The upper bound.
+        hi: u32,
+    },
+    /// `mean_duration` is zero.
+    ZeroMeanDuration,
+    /// `occupancy_fraction` is non-finite or outside `[0, 1)`.
+    OccupancyOutOfRange(f64),
+}
+
+impl std::fmt::Display for BackgroundError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BackgroundError::ZeroMinSize => {
+                write!(f, "background size_range must start at 1 node or more")
+            }
+            BackgroundError::InvertedSizeRange { lo, hi } => {
+                write!(f, "background size_range ({lo}, {hi}) has min > max")
+            }
+            BackgroundError::ZeroMeanDuration => {
+                write!(f, "background mean_duration must be > 0")
+            }
+            BackgroundError::OccupancyOutOfRange(v) => {
+                write!(f, "background occupancy_fraction {v} outside [0, 1)")
+            }
+        }
+    }
+}
+
+impl std::error::Error for BackgroundError {}
+
 /// One sampled background job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackgroundSample {
@@ -129,6 +191,19 @@ pub struct BackgroundSample {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn presets_validate() {
+        for bg in [
+            BackgroundLoad::none(),
+            BackgroundLoad::light(),
+            BackgroundLoad::heavy(),
+            BackgroundLoad::concurrent_users(0.0),
+            BackgroundLoad::concurrent_users(0.99),
+        ] {
+            assert_eq!(bg.validate(), Ok(()), "{bg:?}");
+        }
+    }
 
     #[test]
     fn none_generates_nothing() {

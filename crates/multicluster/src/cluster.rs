@@ -10,6 +10,12 @@
 //! Node identity is tracked explicitly (not just counters) so that the
 //! availability experiments can withdraw specific nodes and so invariants
 //! ("a node belongs to at most one allocation") are checkable.
+//!
+//! Per-owner occupancy ([`Cluster::used_by_koala`] /
+//! [`Cluster::used_by_local`]) is asked for on every KIS poll and every
+//! malleability decision, so it is kept in two counters that each
+//! mutator updates alongside the node lists;
+//! [`Cluster::check_invariants`] recounts them from the allocations.
 
 use std::collections::BTreeMap;
 
@@ -167,6 +173,10 @@ pub struct Cluster {
     allocs: BTreeMap<AllocId, Allocation>,
     next_alloc: u64,
     down: u32,
+    /// Nodes held by KOALA-owned allocations (derived from `allocs`).
+    koala_nodes: u32,
+    /// Nodes held by local allocations (derived from `allocs`).
+    local_nodes: u32,
 }
 
 impl Cluster {
@@ -181,6 +191,8 @@ impl Cluster {
             allocs: BTreeMap::new(),
             next_alloc: 0,
             down: 0,
+            koala_nodes: 0,
+            local_nodes: 0,
         }
     }
 
@@ -206,20 +218,20 @@ impl Cluster {
 
     /// Nodes held by KOALA-owned allocations only.
     pub fn used_by_koala(&self) -> u32 {
-        self.allocs
-            .values()
-            .filter(|a| matches!(a.owner, AllocOwner::Koala(_)))
-            .map(|a| a.nodes.len() as u32)
-            .sum()
+        self.koala_nodes
     }
 
     /// Nodes held by local (background) allocations only.
     pub fn used_by_local(&self) -> u32 {
-        self.allocs
-            .values()
-            .filter(|a| matches!(a.owner, AllocOwner::Local(_)))
-            .map(|a| a.nodes.len() as u32)
-            .sum()
+        self.local_nodes
+    }
+
+    /// The occupancy counter of `owner`'s kind.
+    fn held_by(&mut self, owner: AllocOwner) -> &mut u32 {
+        match owner {
+            AllocOwner::Koala(_) => &mut self.koala_nodes,
+            AllocOwner::Local(_) => &mut self.local_nodes,
+        }
     }
 
     /// Number of live allocations.
@@ -257,6 +269,7 @@ impl Cluster {
             nodes.push(n);
         }
         self.allocs.insert(id, Allocation { owner, nodes });
+        *self.held_by(owner) += count;
         Ok(id)
     }
 
@@ -265,20 +278,24 @@ impl Cluster {
         if extra == 0 {
             return Err(AllocError::ZeroRequest);
         }
-        if !self.allocs.contains_key(&id) {
-            return Err(AllocError::UnknownAlloc(id));
-        }
-        if self.idle() < extra {
+        let available = self.free.len() as u32;
+        let alloc = self
+            .allocs
+            .get_mut(&id)
+            .ok_or(AllocError::UnknownAlloc(id))?;
+        if available < extra {
             return Err(AllocError::Insufficient {
                 requested: extra,
-                available: self.idle(),
+                available,
             });
         }
         for _ in 0..extra {
             let n = self.free.pop().expect("checked idle() above");
             self.states[n.0 as usize] = NodeState::Busy(id);
-            self.allocs.get_mut(&id).expect("checked").nodes.push(n);
+            alloc.nodes.push(n);
         }
+        let owner = alloc.owner;
+        *self.held_by(owner) += extra;
         Ok(())
     }
 
@@ -305,9 +322,11 @@ impl Cluster {
             self.states[n.0 as usize] = NodeState::Free;
             self.free.push(n);
         }
+        let owner = alloc.owner;
         if alloc.nodes.is_empty() {
             self.allocs.remove(&id);
         }
+        *self.held_by(owner) -= by;
         Ok(by)
     }
 
@@ -322,6 +341,7 @@ impl Cluster {
             self.states[node.0 as usize] = NodeState::Free;
             self.free.push(node);
         }
+        *self.held_by(alloc.owner) -= n;
         Ok(n)
     }
 
@@ -381,6 +401,7 @@ impl Cluster {
                     if destroyed {
                         self.allocs.remove(&id);
                     }
+                    *self.held_by(owner) -= 1;
                     self.states[i] = NodeState::Down;
                     self.down += 1;
                     taken += 1;
@@ -459,11 +480,13 @@ impl Cluster {
         }
         self.states = state.states;
         self.free = state.free;
-        self.allocs = state
-            .allocs
-            .into_iter()
-            .map(|(id, owner, nodes)| (id, Allocation { owner, nodes }))
-            .collect();
+        self.allocs.clear();
+        self.koala_nodes = 0;
+        self.local_nodes = 0;
+        for (id, owner, nodes) in state.allocs {
+            *self.held_by(owner) += nodes.len() as u32;
+            self.allocs.insert(id, Allocation { owner, nodes });
+        }
         self.next_alloc = state.next_alloc;
         self.down = state.down;
         if self.allocs.keys().any(|id| id.0 >= self.next_alloc) {
@@ -473,8 +496,9 @@ impl Cluster {
     }
 
     /// Internal consistency check: every node appears in exactly one of
-    /// {free list, some allocation, down}; counters agree. Used by tests
-    /// and debug assertions in the scheduler.
+    /// {free list, some allocation, down}; the down and per-owner
+    /// occupancy counters agree with a recount. Used by tests and debug
+    /// assertions in the scheduler.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut seen = vec![0u8; self.spec.nodes as usize];
         for n in &self.free {
@@ -486,9 +510,14 @@ impl Cluster {
                 ));
             }
         }
+        let (mut koala, mut local) = (0u32, 0u32);
         for (id, a) in &self.allocs {
             if a.nodes.is_empty() {
                 return Err(format!("{id:?} is empty but still registered"));
+            }
+            match a.owner {
+                AllocOwner::Koala(_) => koala += a.nodes.len() as u32,
+                AllocOwner::Local(_) => local += a.nodes.len() as u32,
             }
             for n in &a.nodes {
                 seen[n.0 as usize] += 1;
@@ -509,6 +538,12 @@ impl Cluster {
         }
         if down != self.down {
             return Err(format!("down counter {} != {}", self.down, down));
+        }
+        if (koala, local) != (self.koala_nodes, self.local_nodes) {
+            return Err(format!(
+                "occupancy counters koala {} / local {} != recount {koala} / {local}",
+                self.koala_nodes, self.local_nodes
+            ));
         }
         if let Some(i) = seen.iter().position(|&c| c != 1) {
             return Err(format!("node n{i} appears {} times", seen[i]));
@@ -608,6 +643,24 @@ mod tests {
         assert_eq!(c.used_by_koala(), 5);
         assert_eq!(c.used_by_local(), 3);
         assert_eq!(c.used(), 8);
+    }
+
+    #[test]
+    fn invariants_police_occupancy_counters() {
+        let mut c = cluster(20);
+        let a = c.allocate(AllocOwner::Koala(1), 5).unwrap();
+        c.allocate(AllocOwner::Local(9), 3).unwrap();
+        c.grow(a, 2).unwrap();
+        c.crash(1);
+        assert_eq!((c.used_by_koala(), c.used_by_local()), (6, 3));
+        c.check_invariants().unwrap();
+        c.koala_nodes += 1;
+        let err = c.check_invariants().unwrap_err();
+        assert!(err.contains("occupancy"), "{err}");
+        // A restore recomputes the counters from the allocations.
+        let state = c.capture_state();
+        c.restore_state(state).unwrap();
+        assert_eq!(c.used_by_koala(), 6);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::cluster::Cluster;
 use crate::ids::ClusterId;
 
 /// A poll-time snapshot of per-cluster processor availability.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InfoSnapshot {
     /// When the snapshot was taken.
     pub taken_at: SimTime,
@@ -100,6 +100,10 @@ pub struct InfoService {
     /// Minimum age a snapshot must reach before becoming visible.
     lag: simcore::SimDuration,
     polls: u64,
+    /// The snapshot most recently displaced from `visible`, kept only so
+    /// the next poll can refill its buffers instead of allocating. Not
+    /// part of [`InfoState`]: it never influences what is visible.
+    spare: Option<InfoSnapshot>,
 }
 
 impl InfoService {
@@ -125,27 +129,29 @@ impl InfoService {
     /// Polls the processor information providers: records a fresh
     /// snapshot of every cluster, then promotes the newest recorded
     /// snapshot that is at least [`lag`](InfoService::lag) old.
+    ///
+    /// In steady state this allocates nothing: the fresh snapshot reuses
+    /// the buffers of the one the previous promotion displaced.
     pub fn poll<'a>(&mut self, now: SimTime, clusters: impl Iterator<Item = &'a Cluster>) {
-        let mut idle = Vec::new();
-        let mut capacity = Vec::new();
-        let mut used_by_koala = Vec::new();
-        let mut used_by_local = Vec::new();
+        let mut s = self.spare.take().unwrap_or_default();
+        s.taken_at = now;
+        s.idle.clear();
+        s.capacity.clear();
+        s.used_by_koala.clear();
+        s.used_by_local.clear();
         for c in clusters {
-            idle.push(c.idle());
-            capacity.push(c.capacity());
-            used_by_koala.push(c.used_by_koala());
-            used_by_local.push(c.used_by_local());
+            s.idle.push(c.idle());
+            s.capacity.push(c.capacity());
+            s.used_by_koala.push(c.used_by_koala());
+            s.used_by_local.push(c.used_by_local());
         }
-        self.in_flight.push_back(InfoSnapshot {
-            taken_at: now,
-            idle,
-            capacity,
-            used_by_koala,
-            used_by_local,
-        });
+        self.in_flight.push_back(s);
         while let Some(front) = self.in_flight.front() {
             if now.saturating_since(front.taken_at) >= self.lag {
-                self.visible = self.in_flight.pop_front();
+                let promoted = self.in_flight.pop_front();
+                if let Some(old) = std::mem::replace(&mut self.visible, promoted) {
+                    self.spare = Some(old);
+                }
             } else {
                 break;
             }
@@ -313,6 +319,89 @@ mod tests {
         assert_eq!(kis.snapshot().unwrap().taken_at, SimTime::from_secs(40));
         assert_eq!(kis.snapshot().unwrap().idle_of(ClusterId(0)), 2);
         assert_eq!(kis.polls(), 3);
+    }
+
+    /// Live per-cluster figures in snapshot column order.
+    fn live_view(now: SimTime, clusters: &[Cluster]) -> InfoSnapshot {
+        InfoSnapshot {
+            taken_at: now,
+            idle: clusters.iter().map(Cluster::idle).collect(),
+            capacity: clusters.iter().map(Cluster::capacity).collect(),
+            used_by_koala: clusters.iter().map(Cluster::used_by_koala).collect(),
+            used_by_local: clusters.iter().map(Cluster::used_by_local).collect(),
+        }
+    }
+
+    /// One random mutation of one cluster: allocate for either owner,
+    /// grow, shrink or release a live allocation, or crash/restore.
+    fn mutate(rng: &mut simcore::SimRng, clusters: &mut [Cluster]) {
+        let c = &mut clusters[rng.usize_below(3)];
+        let live: Vec<_> = c.capture_state().allocs.iter().map(|a| a.0).collect();
+        let target = (!live.is_empty()).then(|| live[rng.usize_below(live.len())]);
+        let n = rng.range_u64(1, 6) as u32;
+        match (rng.range_u64(0, 6), target) {
+            (0, _) => {
+                let _ = c.allocate(AllocOwner::Koala(rng.next_u64()), n);
+            }
+            (1, _) => {
+                let _ = c.allocate(AllocOwner::Local(rng.next_u64()), n);
+            }
+            (2, Some(a)) => {
+                let _ = c.grow(a, n);
+            }
+            (3, Some(a)) => {
+                let _ = c.shrink(a, n);
+            }
+            (4, Some(a)) => {
+                let _ = c.release(a);
+            }
+            (5, _) => {
+                c.crash(n);
+            }
+            _ => {
+                c.restore(n);
+            }
+        }
+    }
+
+    /// Every visible snapshot equals the live state at the poll it came
+    /// from, however the recycled buffers were last used, and a
+    /// capture/restore round-trip mid-sequence continues identically.
+    #[test]
+    fn recycled_snapshots_match_live_state_at_their_poll() {
+        for lag_s in [0, 30] {
+            let lag = simcore::SimDuration::from_secs(lag_s);
+            let mut clusters = vec![cluster("a", 12), cluster("b", 20), cluster("c", 7)];
+            let mut rng = simcore::SimRng::seed_from_u64(lag_s + 1);
+            let mut kis = InfoService::with_lag(lag);
+            let mut resumed: Option<InfoService> = None;
+            let mut history: Vec<InfoSnapshot> = Vec::new();
+            for i in 0..80u64 {
+                for _ in 0..rng.range_u64(0, 4) {
+                    mutate(&mut rng, &mut clusters);
+                }
+                let now = SimTime::from_secs(10 * i);
+                history.push(live_view(now, &clusters));
+                kis.poll(now, clusters.iter());
+                // Polls are 10 s apart, so the visible snapshot is the one
+                // taken ceil(lag / 10 s) polls ago.
+                let back = lag_s.div_ceil(10) as usize;
+                let expect = (history.len() > back).then(|| &history[history.len() - 1 - back]);
+                assert_eq!(kis.snapshot(), expect, "lag {lag_s}s, poll {i}");
+                assert_eq!(kis.polls(), i + 1);
+                if let Some(r) = resumed.as_mut() {
+                    r.poll(now, clusters.iter());
+                    assert_eq!(r.capture_state(), kis.capture_state(), "poll {i}");
+                }
+                if i == 37 {
+                    let mut r = InfoService::with_lag(lag);
+                    r.restore_state(kis.capture_state());
+                    assert_eq!(r.capture_state(), kis.capture_state());
+                    resumed = Some(r);
+                }
+            }
+            assert!(resumed.is_some());
+        }
     }
 
     #[test]
