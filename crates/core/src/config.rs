@@ -79,6 +79,8 @@ pub enum ConfigError {
     ClassFractionsExceedOne(f64),
     /// Workload with no application kinds and no explicit trace.
     EmptyWorkload,
+    /// `workload.jobs` beyond the 32-bit job-id space.
+    TooManyJobs(usize),
     /// An invalid job inside an explicit trace.
     TraceJob {
         /// Index of the offending job in the trace.
@@ -156,6 +158,9 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::EmptyWorkload => {
                 write!(f, "workload needs at least one application kind")
+            }
+            ConfigError::TooManyJobs(n) => {
+                write!(f, "workload.jobs {n} exceeds the job-id limit {}", u32::MAX)
             }
             ConfigError::TraceJob { index, reason } => {
                 write!(f, "trace job {index}: {reason}")
@@ -827,6 +832,9 @@ impl ExperimentConfig {
         if w.apps.is_empty() && self.trace.is_none() && self.generator.is_none() {
             return Err(ConfigError::EmptyWorkload);
         }
+        if u32::try_from(w.jobs).is_err() {
+            return Err(ConfigError::TooManyJobs(w.jobs));
+        }
         if let Some(trace) = &self.trace {
             for (i, j) in trace.iter().enumerate() {
                 j.spec
@@ -999,6 +1007,17 @@ mod tests {
         cfg.background = BackgroundLoad::light();
         edit(&mut cfg.background);
         cfg.validate()
+    }
+
+    #[test]
+    fn job_count_must_fit_the_job_id_space() {
+        let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
+        cfg.workload.jobs = u32::MAX as usize;
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.workload.jobs = usize::MAX;
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(err, ConfigError::TooManyJobs(usize::MAX));
+        assert!(err.to_string().contains("workload.jobs"), "{err}");
     }
 
     #[test]

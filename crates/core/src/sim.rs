@@ -346,6 +346,42 @@ enum Intake<'a> {
     },
 }
 
+/// Multiplicative hasher for the slab's id→slot map. Job ids are
+/// minted by the world (never read from input), so SipHash's
+/// flooding resistance buys nothing; one multiply by the 64-bit golden
+/// ratio spreads sequential ids across both the bucket bits (low) and
+/// the control-byte bits (high) of the std table. The map is
+/// lookup-only, so the hasher cannot change any iteration order.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap = HashMap<u32, u32, std::hash::BuildHasherDefault<IdHasher>>;
+
+/// The cluster a (phase, cluster) column pair counts as running on.
+fn running_on(phase: JobPhase, cluster: Option<ClusterId>) -> Option<ClusterId> {
+    if phase == JobPhase::Running {
+        cluster
+    } else {
+        None
+    }
+}
+
 /// Job storage of a world: a slab indexed by job id.
 ///
 /// In **fixed** mode (eager intake) ids are dense indices and jobs stay
@@ -358,20 +394,24 @@ enum Intake<'a> {
 struct JobSlab {
     slots: Vec<Option<Job>>,
     /// Struct-of-arrays mirror of `Job::phase`, one entry per slot. The
-    /// hot scans ([`World::scan_queue`], [`World::running_views`]) read
-    /// these contiguous columns instead of dereferencing the wide `Job`
-    /// struct, so a pass over mostly-ineligible jobs touches a few bytes
-    /// per slot rather than a cache line. Kept coherent by
-    /// [`JobSlab::sync_hot`] at every phase/cluster write site; a dead
-    /// slot retains the last value it held (readers gate on `slots`).
+    /// queue scan ([`World::scan_queue`]) reads this contiguous column
+    /// instead of dereferencing the wide `Job` struct. Written only by
+    /// [`JobSlab::set_hot`]; a retired slot retains the last value it
+    /// held (readers gate on `slots`).
     phases: Vec<JobPhase>,
     /// Struct-of-arrays mirror of `Job::cluster` (see
     /// [`JobSlab::phases`]).
     clusters: Vec<Option<ClusterId>>,
+    /// Per cluster, the ascending slots whose columns say "running
+    /// there" — exactly what a scan of the two columns would yield, so
+    /// [`World::running_views`] costs O(answer) instead of O(slab).
+    /// Maintained with the columns by [`JobSlab::set_hot`]. Like the
+    /// columns, a retired slot stays listed until its reuse rewrites it.
+    running: Vec<Vec<u32>>,
     /// Free slot indices (streaming mode only).
     free: Vec<u32>,
     /// Job id → slot (streaming mode only; fixed mode uses id = slot).
-    index: HashMap<u32, u32>,
+    index: IdMap,
     streaming: bool,
     /// Jobs created and not yet retired.
     live: usize,
@@ -383,31 +423,35 @@ struct JobSlab {
 
 impl JobSlab {
     /// Fixed-mode storage over a prebuilt job list.
-    fn fixed(jobs: Vec<Job>) -> Self {
+    fn fixed(jobs: Vec<Job>, n_clusters: usize) -> Self {
         let n = jobs.len();
         let phases = jobs.iter().map(|j| j.phase).collect();
         let clusters = jobs.iter().map(|j| j.cluster).collect();
-        JobSlab {
+        let mut slab = JobSlab {
             slots: jobs.into_iter().map(Some).collect(),
             phases,
             clusters,
+            running: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
             streaming: false,
             live: n,
             peak_live: n,
             created: n as u64,
-        }
+        };
+        slab.running = slab.recount_running(n_clusters);
+        slab
     }
 
     /// Empty streaming-mode storage.
-    fn streaming() -> Self {
+    fn streaming(n_clusters: usize) -> Self {
         JobSlab {
             slots: Vec::new(),
             phases: Vec::new(),
             clusters: Vec::new(),
+            running: vec![Vec::new(); n_clusters],
             free: Vec::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
             streaming: true,
             live: 0,
             peak_live: 0,
@@ -423,22 +467,21 @@ impl JobSlab {
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = Some(job);
-                self.phases[s as usize] = phase;
-                self.clusters[s as usize] = cluster;
-                s
+                s as usize
             }
             None => {
                 self.slots.push(Some(job));
-                self.phases.push(phase);
-                self.clusters.push(cluster);
-                (self.slots.len() - 1) as u32
+                self.phases.push(JobPhase::Queued);
+                self.clusters.push(None);
+                self.slots.len() - 1
             }
         };
-        self.index.insert(id, slot);
+        self.set_hot(slot, phase, cluster);
+        self.index.insert(id, slot as u32);
         self.live += 1;
         self.peak_live = self.peak_live.max(self.live);
         self.created += 1;
-        slot as usize
+        slot
     }
 
     /// The collector slot of a live job (fixed mode: its id).
@@ -485,8 +528,8 @@ impl JobSlab {
     }
 
     /// Re-mirrors a live job's `phase` and `cluster` into the hot
-    /// struct-of-arrays columns. Must be called after every site that
-    /// writes either field on a slab-resident job;
+    /// columns and the running index. Must be called after every site
+    /// that writes either field on a slab-resident job;
     /// [`JobSlab::assert_hot_coherent`] backstops that contract in debug
     /// builds. A no-op for ids that are no longer live.
     fn sync_hot(&mut self, id: JobId) {
@@ -499,9 +542,47 @@ impl JobSlab {
             id.index()
         };
         if let Some(job) = self.slots.get(slot).and_then(Option::as_ref) {
-            self.phases[slot] = job.phase;
-            self.clusters[slot] = job.cluster;
+            let (phase, cluster) = (job.phase, job.cluster);
+            self.set_hot(slot, phase, cluster);
         }
+    }
+
+    /// The one writer of the hot columns: stores `slot`'s phase and
+    /// cluster and moves the slot into or out of the running list it
+    /// now belongs to, keeping every list in ascending slot order.
+    fn set_hot(&mut self, slot: usize, phase: JobPhase, cluster: Option<ClusterId>) {
+        let was = running_on(self.phases[slot], self.clusters[slot]);
+        let now = running_on(phase, cluster);
+        self.phases[slot] = phase;
+        self.clusters[slot] = cluster;
+        if was == now {
+            return;
+        }
+        let key = slot as u32;
+        if let Some(c) = was {
+            let list = &mut self.running[c.index()];
+            let at = list.binary_search(&key).expect("running slot was listed");
+            list.remove(at);
+        }
+        if let Some(c) = now {
+            let list = &mut self.running[c.index()];
+            let at = list
+                .binary_search(&key)
+                .expect_err("slot was not yet listed");
+            list.insert(at, key);
+        }
+    }
+
+    /// The running lists recomputed from the columns (the builder of
+    /// [`JobSlab::fixed`] and the debug recount's reference).
+    fn recount_running(&self, n_clusters: usize) -> Vec<Vec<u32>> {
+        let mut running = vec![Vec::new(); n_clusters];
+        for (slot, (&phase, &cluster)) in self.phases.iter().zip(&self.clusters).enumerate() {
+            if let Some(c) = running_on(phase, cluster) {
+                running[c.index()].push(slot as u32);
+            }
+        }
+        running
     }
 
     /// The phase column entry for `slot` (meaningful only while the slot
@@ -515,23 +596,18 @@ impl JobSlab {
         self.slots.get(slot).and_then(Option::as_ref)
     }
 
-    /// Slot indices of live jobs whose hot columns say "running on
-    /// `cluster`" — the candidate set of [`World::running_views`],
-    /// computed from the two contiguous columns without touching the
-    /// `Job` structs.
+    /// Slots whose columns say "running on `cluster`", ascending — the
+    /// candidate set of [`World::running_views`]. Retired slots may
+    /// appear; [`JobSlab::job_at`] filters them.
     fn running_slots_on(&self, cluster: ClusterId) -> impl Iterator<Item = usize> + '_ {
-        self.clusters
-            .iter()
-            .zip(self.phases.iter())
-            .enumerate()
-            .filter(move |&(_, (c, p))| *c == Some(cluster) && *p == JobPhase::Running)
-            .map(|(slot, _)| slot)
+        self.running[cluster.index()].iter().map(|&s| s as usize)
     }
 
     /// Debug-build coherence check: every live job's struct fields match
-    /// its column entries. Called from the hot scans so the whole test
-    /// suite (goldens included) polices missed [`JobSlab::sync_hot`]
-    /// call sites.
+    /// its column entries, and the running lists match a recount of the
+    /// columns. Called from the hot scans so the whole test suite
+    /// (goldens included) polices missed [`JobSlab::sync_hot`] call
+    /// sites.
     #[cfg(debug_assertions)]
     fn assert_hot_coherent(&self) {
         for (slot, job) in self.slots.iter().enumerate() {
@@ -546,6 +622,11 @@ impl JobSlab {
                 );
             }
         }
+        debug_assert_eq!(
+            self.running,
+            self.recount_running(self.running.len()),
+            "running index out of sync with the hot columns"
+        );
     }
 
     /// Live jobs, in slot order.
@@ -676,6 +757,11 @@ pub struct World<'a> {
     faults: Option<ControlPlaneFaults>,
     /// Control-plane health counters (all zero when faults are off).
     ctrl: CtrlStats,
+    /// Live jobs with `release_since` set — a release batch awaiting its
+    /// GRAM confirmation. The orphan sweep walks the slab only while
+    /// this is non-zero; every write of the field goes through
+    /// [`World::mark_releasing`] or [`World::clear_releasing`].
+    releasing_jobs: usize,
     /// The contended-network layer (`None` without a network config —
     /// the default — making the whole layer strictly passive).
     net: Option<NetRuntime>,
@@ -686,6 +772,9 @@ pub struct World<'a> {
     /// the scheduling hot path allocates nothing per tick in steady
     /// state.
     scan_buf: Vec<JobId>,
+    /// Reusable candidate list of [`World::grow_cluster`] and
+    /// [`World::shrink_cluster`], detached like the scan's buffers.
+    scratch_views: Vec<RunningView>,
     scratch_avail: Vec<u32>,
     scratch_eff: Vec<u32>,
     scratch_place: Vec<u32>,
@@ -755,6 +844,7 @@ impl<'a> World<'a> {
             .map(|(i, s)| Job::new(JobId(i as u32), s.spec.clone(), s.at))
             .collect();
         let mc = topology_for(cfg);
+        let n_clusters = mc.len();
         let collect = match mode {
             ReportMode::Full => Collector::full(
                 workload.iter().map(|s| {
@@ -779,7 +869,7 @@ impl<'a> World<'a> {
             seed,
             mc,
             Intake::Fixed(workload),
-            JobSlab::fixed(jobs),
+            JobSlab::fixed(jobs, n_clusters),
             collect,
             bg_rng,
             failure_rng,
@@ -813,12 +903,14 @@ impl<'a> World<'a> {
             last_at: SimTime::ZERO,
             exhausted: false,
         };
+        let mc = topology_for(cfg);
+        let n_clusters = mc.len();
         Self::assemble(
             cfg,
             seed,
-            topology_for(cfg),
+            mc,
             intake,
-            JobSlab::streaming(),
+            JobSlab::streaming(n_clusters),
             Collector::summarized(seed, &cfg.report),
             bg_rng,
             failure_rng,
@@ -913,9 +1005,11 @@ impl<'a> World<'a> {
             failures,
             faults,
             ctrl: CtrlStats::default(),
+            releasing_jobs: 0,
             net,
             trace: Trace::disabled(),
             scan_buf: Vec::new(),
+            scratch_views: Vec::new(),
             scratch_avail: Vec::with_capacity(n_clusters),
             scratch_eff: Vec::with_capacity(n_clusters),
             scratch_place: Vec::with_capacity(n_clusters),
@@ -1819,8 +1913,11 @@ impl<'a> World<'a> {
         if grow_value == 0 {
             return;
         }
-        let views: Vec<RunningView> = self.running_views(cluster, true).collect();
+        let mut views = std::mem::take(&mut self.scratch_views);
+        views.clear();
+        views.extend(self.running_views(cluster, true));
         if views.is_empty() {
+            self.scratch_views = views;
             return;
         }
         let jobs = &mut self.jobs;
@@ -1833,6 +1930,7 @@ impl<'a> World<'a> {
                 .offer_grow(offered)
         };
         let outcome = self.malleability.run_grow(&views, grow_value, &mut accept);
+        self.scratch_views = views;
         self.grow_messages += outcome.messages as u64;
         for op in &outcome.ops {
             self.collect.grow_op(now);
@@ -1979,8 +2077,11 @@ impl<'a> World<'a> {
     /// Runs the policy's mandatory-shrink procedure on one cluster.
     fn shrink_cluster(&mut self, engine: &mut Engine<Ev>, cluster: ClusterId, value: u32) {
         let now = engine.now();
-        let views: Vec<RunningView> = self.running_views(cluster, false).collect();
+        let mut views = std::mem::take(&mut self.scratch_views);
+        views.clear();
+        views.extend(self.running_views(cluster, false));
         if views.is_empty() || value == 0 {
+            self.scratch_views = views;
             return;
         }
         let jobs = &mut self.jobs;
@@ -1993,6 +2094,7 @@ impl<'a> World<'a> {
                 .request_shrink(requested, true)
         };
         let outcome = self.malleability.run_shrink(&views, value, &mut accept);
+        self.scratch_views = views;
         self.shrink_messages += outcome.messages as u64;
         for op in &outcome.ops {
             self.collect.shrink_op(now);
@@ -2068,7 +2170,7 @@ impl<'a> World<'a> {
             let job = self.jobs.get_mut(id).expect("job finishing a sync is live");
             let gen = job.gen;
             let cluster = job.cluster;
-            job.release_since = Some(now);
+            Self::mark_releasing(job, now, &mut self.releasing_jobs);
             let delay = self.cfg.sched.gram.batch_release_time(released);
             self.send_ctrl(
                 engine,
@@ -2109,7 +2211,7 @@ impl<'a> World<'a> {
             return;
         }
         runner.release_confirmed();
-        job.release_since = None;
+        Self::clear_releasing(job, &mut self.releasing_jobs);
         self.mc
             .cluster_mut(cluster)
             .shrink(alloc, count)
@@ -2359,14 +2461,22 @@ impl<'a> World<'a> {
     fn on_orphan_sweep(&mut self, engine: &mut Engine<Ev>) {
         let now = engine.now();
         let grace = self.cfg.sched.retry.orphan_grace;
+        debug_assert_eq!(
+            self.releasing_jobs,
+            self.recount_releasing(),
+            "releasing-job count out of sync"
+        );
+        // Most sweeps find no release in flight: skip the slab walk.
         let mut orphans: Vec<JobId> = Vec::new();
-        for j in self.jobs.iter_live() {
-            let stuck = j
-                .release_since
-                .is_some_and(|since| now.saturating_since(since) >= grace)
-                && j.runner.as_ref().is_some_and(|r| r.releasing() > 0);
-            if stuck {
-                orphans.push(j.id);
+        if self.releasing_jobs > 0 {
+            for j in self.jobs.iter_live() {
+                let stuck = j
+                    .release_since
+                    .is_some_and(|since| now.saturating_since(since) >= grace)
+                    && j.runner.as_ref().is_some_and(|r| r.releasing() > 0);
+                if stuck {
+                    orphans.push(j.id);
+                }
             }
         }
         for id in orphans {
@@ -2376,7 +2486,7 @@ impl<'a> World<'a> {
             let runner = job.runner.as_mut().expect("only malleable jobs release");
             let count = runner.releasing();
             runner.release_confirmed();
-            job.release_since = None;
+            Self::clear_releasing(job, &mut self.releasing_jobs);
             self.trace.record(now, "ctrl-reclaim", id.0 as u64, || {
                 format!("{count} orphaned processors on {cluster:?}")
             });
@@ -2431,7 +2541,7 @@ impl<'a> World<'a> {
                 runner.release_confirmed();
             }
         }
-        job.release_since = None;
+        Self::clear_releasing(job, &mut self.releasing_jobs);
         job.phase = JobPhase::Completed;
         job.gen.bump(); // invalidate every remaining event for this job
                         // This very event was the tracked completion timer: drop the
@@ -2447,18 +2557,21 @@ impl<'a> World<'a> {
             .cluster_mut(cluster)
             .release(alloc)
             .expect("completed job held an allocation");
-        let mut freed_clusters = vec![cluster];
+        // Other clusters freed by co-allocated components, in first-seen
+        // order (empty, so never allocated, for single-component jobs).
+        let mut freed_extra: Vec<ClusterId> = Vec::new();
         for (c, a) in extras {
             self.mc
                 .cluster_mut(c)
                 .release(a)
                 .expect("completed job held all its components");
-            if !freed_clusters.contains(&c) {
-                freed_clusters.push(c);
+            if c != cluster && !freed_extra.contains(&c) {
+                freed_extra.push(c);
             }
         }
         self.touch_util(now);
-        for c in freed_clusters {
+        self.capacity_freed(engine, cluster);
+        for c in freed_extra {
             self.capacity_freed(engine, c);
         }
     }
@@ -3193,7 +3306,7 @@ impl<'a> World<'a> {
         job.started = None;
         job.initiative_fired = false;
         job.pending_claim = None;
-        job.release_since = None;
+        Self::clear_releasing(job, &mut self.releasing_jobs);
         job.gen.bump(); // invalidate every remaining event for this job
         Self::cancel_completion(engine, job);
         match self.cfg.elasticity.failure_policy {
@@ -3243,6 +3356,31 @@ impl<'a> World<'a> {
     // Helpers
     // ------------------------------------------------------------------
 
+    /// Sets `job.release_since`, counting the job into `releasing` if it
+    /// had no release batch pending.
+    fn mark_releasing(job: &mut Job, since: SimTime, releasing: &mut usize) {
+        if job.release_since.replace(since).is_none() {
+            *releasing += 1;
+        }
+    }
+
+    /// Clears `job.release_since`, counting the job out of `releasing`
+    /// if it had a release batch pending.
+    fn clear_releasing(job: &mut Job, releasing: &mut usize) {
+        if job.release_since.take().is_some() {
+            *releasing -= 1;
+        }
+    }
+
+    /// Live jobs with `release_since` set, counted from the slab (the
+    /// snapshot restore's rebuild and the debug recount's reference).
+    fn recount_releasing(&self) -> usize {
+        self.jobs
+            .iter_live()
+            .filter(|j| j.release_since.is_some())
+            .count()
+    }
+
     /// Scheduler-side views of the malleable jobs running on `cluster`
     /// that can currently receive requests. `for_grow` filters to jobs
     /// below their maximum ("as long as at least one running malleable
@@ -3254,9 +3392,8 @@ impl<'a> World<'a> {
     ) -> impl Iterator<Item = RunningView> + use<'_, 'a> {
         #[cfg(debug_assertions)]
         self.jobs.assert_hot_coherent();
-        // The struct-of-arrays columns pre-select "running on this
-        // cluster" with two contiguous scans; only the (usually few)
-        // survivors dereference their `Job`.
+        // The running index pre-selects "running on this cluster" in
+        // slot order; only those slots dereference their `Job`.
         self.jobs
             .running_slots_on(cluster)
             .filter_map(|slot| self.jobs.job_at(slot))
@@ -3934,8 +4071,13 @@ impl<'a> World<'a> {
                 .as_mut()
                 .expect("fixed slabs keep every slot");
             dec_job_into(r, job)?;
-            self.jobs.phases[slot] = job.phase;
-            self.jobs.clusters[slot] = job.cluster;
+            let (phase, cluster) = (job.phase, job.cluster);
+            if cluster.is_some_and(|c| c.index() >= self.mc.len()) {
+                return Err(corrupt("job cluster out of range"));
+            }
+            // Re-mirrors the columns and rebuilds the running lists slot
+            // by slot (the fresh world's lists start empty).
+            self.jobs.set_hot(slot, phase, cluster);
         }
         let live = r.u64()? as usize;
         let peak_live = r.u64()? as usize;
@@ -3944,6 +4086,7 @@ impl<'a> World<'a> {
         }
         self.jobs.live = live;
         self.jobs.peak_live = peak_live;
+        self.releasing_jobs = self.recount_releasing();
         // --- streaming collector --------------------------------------
         let cstate = dec_collector(r)?;
         self.collect = Collector::Summary(crate::report::SummaryCollector::from_state(cstate));
@@ -5185,5 +5328,148 @@ mod tests {
         cfg.background = multicluster::BackgroundLoad::light();
         let r = run_experiment(&cfg);
         assert!((r.jobs.completion_ratio() - 1.0).abs() < 1e-12);
+    }
+
+    /// A malleable GADGET-2 job, for driving a slab by hand.
+    fn any_job(id: u32) -> Job {
+        let spec = appsim::JobSpec::paper_malleable(appsim::AppKind::Gadget2);
+        Job::new(JobId(id), spec, SimTime::ZERO)
+    }
+
+    /// Moves a slab-resident job to `phase` on `cluster` the way the
+    /// handlers do: write the struct, then mirror it.
+    fn put(slab: &mut JobSlab, id: u32, phase: JobPhase, cluster: Option<u16>) {
+        let job = slab.get_mut(JobId(id)).expect("job is live");
+        job.phase = phase;
+        job.cluster = cluster.map(ClusterId);
+        slab.sync_hot(JobId(id));
+    }
+
+    #[test]
+    fn running_index_survives_slot_reuse_after_a_running_retire() {
+        let mut slab = JobSlab::streaming(3);
+        assert_eq!(slab.insert(any_job(0)), 0);
+        assert_eq!(slab.insert(any_job(1)), 1);
+        put(&mut slab, 0, JobPhase::Running, Some(2));
+        put(&mut slab, 1, JobPhase::Running, Some(2));
+        assert_eq!(
+            slab.running_slots_on(ClusterId(2)).collect::<Vec<_>>(),
+            [0, 1]
+        );
+        // Retire job 0 while its column still says Running: the slot is
+        // freed but stays listed, exactly as the column scan would see it.
+        slab.retire(JobId(0));
+        assert_eq!(slab.phase_at(0), JobPhase::Running);
+        assert_eq!(
+            slab.running_slots_on(ClusterId(2)).collect::<Vec<_>>(),
+            [0, 1]
+        );
+        assert!(slab.job_at(0).is_none());
+        // Reusing the slot for a queued job unlists it...
+        assert_eq!(slab.insert(any_job(2)), 0);
+        assert_eq!(slab.running_slots_on(ClusterId(2)).collect::<Vec<_>>(), [1]);
+        // ...and running it elsewhere lists it there, in slot order.
+        put(&mut slab, 2, JobPhase::Running, Some(0));
+        put(&mut slab, 1, JobPhase::Running, Some(0));
+        assert_eq!(
+            slab.running_slots_on(ClusterId(0)).collect::<Vec<_>>(),
+            [0, 1]
+        );
+        assert_eq!(slab.running_slots_on(ClusterId(2)).count(), 0);
+        put(&mut slab, 2, JobPhase::Reconfiguring, Some(0));
+        assert_eq!(slab.running_slots_on(ClusterId(0)).collect::<Vec<_>>(), [1]);
+        assert_eq!(slab.running, slab.recount_running(3));
+    }
+
+    #[test]
+    fn fixed_slab_builds_the_lists_the_event_updates_maintain() {
+        let cfg = small("fpsma", WorkloadSpec::wm(), 20);
+        let mut engine = engine_for(&cfg);
+        let mut w = World::new(&cfg);
+        let n = w.mc.len();
+        w.bootstrap(&mut engine);
+        let mut checked_running = 0;
+        while let Some((_t, ev)) = engine.pop() {
+            w.handle(&mut engine, ev);
+            let jobs: Vec<Job> = w.jobs.iter_live().cloned().collect();
+            assert_eq!(jobs.len(), w.jobs.slots.len(), "fixed slabs keep every job");
+            let rebuilt = JobSlab::fixed(jobs, n);
+            assert_eq!(rebuilt.running, w.jobs.running);
+            if w.jobs.running.iter().any(|l| !l.is_empty()) {
+                checked_running += 1;
+            }
+            if w.done() {
+                break;
+            }
+        }
+        assert!(checked_running > 0, "no job ever ran");
+    }
+
+    /// PWA under total release loss: shrink releases stay pending until
+    /// the orphan sweep reclaims them.
+    fn lossy_release_cfg() -> ExperimentConfig {
+        let mut cfg = ExperimentConfig::paper_pwa("egs", WorkloadSpec::wm_prime());
+        cfg.workload.jobs = 16;
+        cfg.seed = 5;
+        cfg.elasticity.ctrl_faults = Some(multicluster::ControlPlaneFaultSpec {
+            loss: multicluster::ClassLoss {
+                release: 1.0,
+                ..multicluster::ClassLoss::uniform(0.0)
+            },
+            ..multicluster::ControlPlaneFaultSpec::uniform(0.0)
+        });
+        cfg.sched.retry = crate::config::RetryConfig {
+            timeout: SimDuration::from_secs(10),
+            max_timeout: SimDuration::from_secs(40),
+            max_attempts: 3,
+            orphan_sweep_period: SimDuration::from_secs(30),
+            orphan_grace: SimDuration::from_secs(50),
+        };
+        cfg
+    }
+
+    #[test]
+    fn snapshot_restore_and_fork_rebuild_the_index_and_releasing_count() {
+        let cfg = lossy_release_cfg();
+        let mut fork_cfg = cfg.clone();
+        fork_cfg.sched.malleability = "fpsma".to_string();
+        let mut engine = engine_for(&cfg);
+        let mut w = World::for_seed_summarized(&cfg, cfg.seed);
+        w.bootstrap(&mut engine);
+        while w.releasing_jobs == 0 {
+            let (_t, ev) = engine.pop().expect("a release goes pending mid-run");
+            w.handle(&mut engine, ev);
+        }
+        assert!(w.jobs.running.iter().any(|l| !l.is_empty()));
+        let snap = w.snapshot(&engine).expect("summarized worlds snapshot");
+        let restored = World::restore(&cfg, &snap).expect("restore");
+        let forked = World::fork_with(&fork_cfg, &snap).expect("fork");
+        for (what, (r, _engine)) in [("restore", restored), ("fork", forked)] {
+            assert_eq!(r.jobs.running, w.jobs.running, "{what}");
+            assert_eq!(r.releasing_jobs, w.releasing_jobs, "{what}");
+        }
+    }
+
+    #[test]
+    fn releasing_count_returns_to_zero_without_faults() {
+        let mut cfg = ExperimentConfig::paper_pwa("egs", WorkloadSpec::wm_prime());
+        cfg.workload.jobs = 200;
+        cfg.seed = 3;
+        let mut engine = engine_for(&cfg);
+        let mut w = World::new(&cfg);
+        w.bootstrap(&mut engine);
+        let mut peak = 0;
+        while let Some((_t, ev)) = engine.pop() {
+            w.handle(&mut engine, ev);
+            assert_eq!(w.releasing_jobs, w.recount_releasing());
+            peak = peak.max(w.releasing_jobs);
+            if w.done() {
+                break;
+            }
+        }
+        assert!(w.done());
+        assert!(peak > 0, "PWA under W'm never released a shrink batch");
+        assert_eq!(w.releasing_jobs, 0);
+        assert_eq!(w.recount_releasing(), 0);
     }
 }
