@@ -69,7 +69,7 @@ pub enum ConfigError {
     KoalaShareOutOfRange(f64),
     /// `koala_share` of zero admits no jobs at all.
     KoalaShareZero,
-    /// Negative co-allocation penalty.
+    /// A negative or non-finite co-allocation penalty.
     NegativeCoallocPenalty(f64),
     /// A zero polling/scan period would livelock the event loop.
     ZeroPeriod,
@@ -77,6 +77,8 @@ pub enum ConfigError {
     NegativeClassFraction,
     /// Class fractions summing over 1.
     ClassFractionsExceedOne(f64),
+    /// A malleable-job initiative fraction outside `[0, 1]`.
+    InitiativeFractionOutOfRange(f64),
     /// Workload with no application kinds and no explicit trace.
     EmptyWorkload,
     /// `workload.jobs` beyond the 32-bit job-id space.
@@ -147,7 +149,7 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::KoalaShareZero => write!(f, "koala_share 0 admits no jobs at all"),
             ConfigError::NegativeCoallocPenalty(v) => {
-                write!(f, "negative coalloc_penalty {v}")
+                write!(f, "coalloc_penalty must be finite and >= 0, got {v}")
             }
             ConfigError::ZeroPeriod => {
                 write!(f, "zero polling/scan periods would livelock the event loop")
@@ -155,6 +157,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NegativeClassFraction => write!(f, "negative class fractions"),
             ConfigError::ClassFractionsExceedOne(sum) => {
                 write!(f, "class fractions sum to {sum} > 1")
+            }
+            ConfigError::InitiativeFractionOutOfRange(v) => {
+                write!(f, "workload.initiative_fraction {v} outside [0, 1]")
             }
             ConfigError::EmptyWorkload => {
                 write!(f, "workload needs at least one application kind")
@@ -793,7 +798,7 @@ impl SchedulerConfig {
         if self.koala_share == 0.0 {
             return Err(ConfigError::KoalaShareZero);
         }
-        if self.coalloc_penalty < 0.0 {
+        if !(self.coalloc_penalty.is_finite() && self.coalloc_penalty >= 0.0) {
             return Err(ConfigError::NegativeCoallocPenalty(self.coalloc_penalty));
         }
         if self.kis_poll_period.is_zero() || self.queue_scan_period.is_zero() {
@@ -827,6 +832,11 @@ impl ExperimentConfig {
         if w.malleable_fraction + w.moldable_fraction > 1.0 + 1e-9 {
             return Err(ConfigError::ClassFractionsExceedOne(
                 w.malleable_fraction + w.moldable_fraction,
+            ));
+        }
+        if !(0.0..=1.0).contains(&w.initiative_fraction) {
+            return Err(ConfigError::InitiativeFractionOutOfRange(
+                w.initiative_fraction,
             ));
         }
         if w.apps.is_empty() && self.trace.is_none() && self.generator.is_none() {
@@ -1018,6 +1028,40 @@ mod tests {
         let err = cfg.validate().unwrap_err();
         assert_eq!(err, ConfigError::TooManyJobs(usize::MAX));
         assert!(err.to_string().contains("workload.jobs"), "{err}");
+    }
+
+    #[test]
+    fn coalloc_penalty_must_be_finite_and_non_negative() {
+        let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
+        cfg.sched.coalloc_penalty = 0.0;
+        assert_eq!(cfg.validate(), Ok(()));
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.5] {
+            cfg.sched.coalloc_penalty = bad;
+            let err = cfg.validate().unwrap_err();
+            assert!(
+                matches!(err, ConfigError::NegativeCoallocPenalty(v) if v.to_bits() == bad.to_bits()),
+                "{bad}: {err:?}"
+            );
+            assert!(err.to_string().contains("coalloc_penalty"), "{err}");
+        }
+    }
+
+    #[test]
+    fn initiative_fraction_must_lie_in_the_unit_interval() {
+        let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
+        for ok in [0.0, 0.5, 1.0] {
+            cfg.workload.initiative_fraction = ok;
+            assert_eq!(cfg.validate(), Ok(()), "{ok}");
+        }
+        for bad in [2.0, -1.0, f64::INFINITY, f64::NAN] {
+            cfg.workload.initiative_fraction = bad;
+            let err = cfg.validate().unwrap_err();
+            assert!(
+                matches!(err, ConfigError::InitiativeFractionOutOfRange(v) if v.to_bits() == bad.to_bits()),
+                "{bad}: {err:?}"
+            );
+            assert!(err.to_string().contains("initiative_fraction"), "{err}");
+        }
     }
 
     #[test]

@@ -181,8 +181,10 @@ pub fn run_cells_summary(cells: &[Cell<'_>], threads: usize) -> Vec<SummaryRepor
 /// then restored from that snapshot under its own policies. Cells
 /// without a warm fork fall back to plain cold runs.
 ///
-/// Both phases run on the work-stealing [`parallel_map`], and results
-/// come back in input order — the output is bit-identical to
+/// Each cell's fork fingerprint is computed once and reused as its group
+/// key, its group's capture header and its fork check. Every phase runs
+/// on the work-stealing [`parallel_map`], and results come back in
+/// input order — the output is bit-identical to
 /// [`run_cells_summary`] for any thread count (the cold path runs the
 /// identical prefix in process and switches policies at the identical
 /// boundary; the differential suite enforces this byte-for-byte).
@@ -198,32 +200,39 @@ pub fn run_cells_summary_warm(cells: &[Cell<'_>], threads: usize) -> Vec<Summary
 
     use crate::snapshot::{fork_fingerprint, Snapshot};
 
-    // Phase 0 (cheap, sequential): group warm-forkable cells. The key
-    // is the fork-invariant fingerprint plus the seed: cells that agree
-    // on everything except name and policy pair share one prefix.
+    // Phase 0: fingerprint every warm-forkable cell once, in parallel,
+    // then group sequentially. The key is the fork-invariant
+    // fingerprint plus the seed: cells that agree on everything except
+    // name and policy pair share one prefix.
+    let keys: Vec<Option<u64>> = parallel_map(cells, threads, |cell| {
+        cell.cfg
+            .warm_fork
+            .is_some()
+            .then(|| fork_fingerprint(cell.cfg))
+    });
     let mut groups: BTreeMap<(u64, u64), Vec<usize>> = BTreeMap::new();
-    for (i, cell) in cells.iter().enumerate() {
-        if cell.cfg.warm_fork.is_some() {
-            groups
-                .entry((fork_fingerprint(cell.cfg), cell.seed))
-                .or_default()
-                .push(i);
+    for (i, (cell, key)) in cells.iter().zip(&keys).enumerate() {
+        if let Some(fp) = *key {
+            groups.entry((fp, cell.seed)).or_default().push(i);
         }
     }
-    // Phase 1: one warmup per group, in parallel.
-    let warmups: Vec<(Vec<usize>, ExperimentConfig, u64, SimTime)> = groups
-        .into_values()
-        .map(|idxs| {
+    // Phase 1: one warmup per group, in parallel. The warmup config
+    // differs from its cells only in canonicalized fields, so the group
+    // key is its fork fingerprint too.
+    let warmups: Vec<(Vec<usize>, ExperimentConfig, u64, u64, SimTime)> = groups
+        .into_iter()
+        .map(|((fp, seed), idxs)| {
             let cell = &cells[idxs[0]];
             let wf = cell.cfg.warm_fork.as_ref().expect("grouped on Some");
             let mut warm_cfg = cell.cfg.clone();
             warm_cfg.sched.placement = wf.base_placement.clone();
             warm_cfg.sched.malleability = wf.base_malleability.clone();
-            (idxs, warm_cfg, cell.seed, SimTime::ZERO + wf.at)
+            debug_assert_eq!(fork_fingerprint(&warm_cfg), fp);
+            (idxs, warm_cfg, fp, seed, SimTime::ZERO + wf.at)
         })
         .collect();
-    let snaps: Vec<Snapshot> = parallel_map(&warmups, threads, |(_, cfg, seed, at)| {
-        crate::sim::warm_snapshot_seeded(cfg, *seed, *at)
+    let snaps: Vec<Snapshot> = parallel_map(&warmups, threads, |(_, cfg, fp, seed, at)| {
+        crate::sim::warm_snapshot_keyed(cfg, *seed, *at, *fp)
             .unwrap_or_else(|e| panic!("warm-fork prefix of `{}` failed: {e}", cfg.name))
     });
     let mut snap_for: Vec<Option<&Snapshot>> = vec![None; cells.len()];
@@ -233,12 +242,13 @@ pub fn run_cells_summary_warm(cells: &[Cell<'_>], threads: usize) -> Vec<Summary
         }
     }
     // Phase 2: every cell, in parallel — forks resume from their
-    // group's snapshot, the rest run cold.
+    // group's snapshot, checked against the cell's phase-0 fingerprint;
+    // the rest run cold.
     let order: Vec<usize> = (0..cells.len()).collect();
-    parallel_map(&order, threads, |&i| match snap_for[i] {
-        Some(snap) => crate::sim::fork_summary(cells[i].cfg, snap)
+    parallel_map(&order, threads, |&i| match (snap_for[i], keys[i]) {
+        (Some(snap), Some(fp)) => crate::sim::fork_summary_keyed(cells[i].cfg, snap, fp)
             .unwrap_or_else(|e| panic!("warm fork of `{}` failed: {e}", cells[i].cfg.name)),
-        None => crate::sim::run_experiment_summary_seeded(cells[i].cfg, cells[i].seed),
+        _ => crate::sim::run_experiment_summary_seeded(cells[i].cfg, cells[i].seed),
     })
 }
 
@@ -384,6 +394,50 @@ mod tests {
         plain.workload.jobs = 8;
         cells_cfg.push(plain);
         let cells: Vec<Cell<'_>> = cells_cfg.iter().map(|cfg| Cell { cfg, seed: 23 }).collect();
+        let cold = run_cells_summary(&cells, 1);
+        for threads in [1, 3] {
+            let warm = run_cells_summary_warm(&cells, threads);
+            assert_eq!(
+                format!("{warm:?}"),
+                format!("{cold:?}"),
+                "threads={threads}: warm-forked sweep diverged from the cold sweep"
+            );
+        }
+    }
+
+    #[test]
+    fn warm_runner_groups_on_fork_fingerprint_and_seed() {
+        use simcore::SimDuration;
+
+        use crate::config::WarmFork;
+        use crate::snapshot::fork_fingerprint;
+
+        let warm = |malleability: &str, jobs: usize| {
+            let mut cfg = ExperimentConfig::paper_pra(malleability, WorkloadSpec::wm());
+            cfg.workload.jobs = jobs;
+            cfg.warm_fork = Some(WarmFork::at(SimDuration::from_secs(900)));
+            cfg
+        };
+        let mut cold = ExperimentConfig::paper_pra("folding", WorkloadSpec::wm());
+        cold.workload.jobs = 8;
+        // The third cell shares the first two's seed but not their
+        // workload size, so it needs a prefix of its own.
+        let cfgs = [
+            warm("fpsma", 8),
+            warm("egs", 8),
+            warm("egs", 9),
+            cold.clone(),
+            warm("equipartition", 8),
+            cold,
+        ];
+        assert_eq!(fork_fingerprint(&cfgs[0]), fork_fingerprint(&cfgs[1]));
+        assert_ne!(fork_fingerprint(&cfgs[1]), fork_fingerprint(&cfgs[2]));
+        let seeds = [23, 23, 23, 23, 31, 31];
+        let cells: Vec<Cell<'_>> = cfgs
+            .iter()
+            .zip(seeds)
+            .map(|(cfg, seed)| Cell { cfg, seed })
+            .collect();
         let cold = run_cells_summary(&cells, 1);
         for threads in [1, 3] {
             let warm = run_cells_summary_warm(&cells, threads);

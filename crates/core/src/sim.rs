@@ -1901,7 +1901,11 @@ impl<'a> World<'a> {
         // is not re-offered until it is released again.
         self.idle_baseline[cluster.index()] = idle;
         let reserve_room = idle.saturating_sub(self.cfg.sched.grow_reserve);
-        let grow_value = new.min(reserve_room).min(self.koala_headroom());
+        let offer = new.min(reserve_room);
+        if offer == 0 {
+            return;
+        }
+        let grow_value = offer.min(self.koala_headroom());
         if grow_value > 0 {
             self.grow_cluster(engine, cluster, grow_value);
         }
@@ -3497,6 +3501,16 @@ impl<'a> World<'a> {
     /// job stream cannot be rewound); anything else is a typed
     /// [`SnapshotError::UnsupportedMode`].
     pub fn snapshot(&self, engine: &Engine<Ev>) -> Result<Snapshot, SnapshotError> {
+        self.snapshot_keyed(engine, fork_fingerprint(self.cfg))
+    }
+
+    /// [`World::snapshot`] with the configuration's fork fingerprint
+    /// supplied by a caller that already computed it.
+    pub(crate) fn snapshot_keyed(
+        &self,
+        engine: &Engine<Ev>,
+        fork_fp: u64,
+    ) -> Result<Snapshot, SnapshotError> {
         if !self.collect.is_summarized() {
             return Err(SnapshotError::UnsupportedMode(
                 "full-report mode (build with World::for_seed_summarized)".into(),
@@ -3521,7 +3535,7 @@ impl<'a> World<'a> {
             version: VERSION,
             seed: self.seed,
             full_fingerprint: config_fingerprint(self.cfg),
-            fork_fingerprint: fork_fingerprint(self.cfg),
+            fork_fingerprint: fork_fp,
             body: self.encode_body(engine),
         })
     }
@@ -3551,7 +3565,17 @@ impl<'a> World<'a> {
         cfg: &'a ExperimentConfig,
         snap: &Snapshot,
     ) -> Result<(World<'a>, Engine<Ev>), SnapshotError> {
-        if fork_fingerprint(cfg) != snap.fork_fingerprint {
+        Self::fork_keyed(cfg, snap, fork_fingerprint(cfg))
+    }
+
+    /// [`World::fork_with`] with `cfg`'s fork fingerprint supplied by a
+    /// caller that already computed it.
+    pub(crate) fn fork_keyed(
+        cfg: &'a ExperimentConfig,
+        snap: &Snapshot,
+        fork_fp: u64,
+    ) -> Result<(World<'a>, Engine<Ev>), SnapshotError> {
+        if fork_fp != snap.fork_fingerprint {
             return Err(SnapshotError::ConfigMismatch);
         }
         Self::rebuild(cfg, snap)
@@ -4813,13 +4837,24 @@ pub fn warm_snapshot_seeded(
     seed: u64,
     at: SimTime,
 ) -> Result<Snapshot, SnapshotError> {
+    warm_snapshot_keyed(cfg, seed, at, fork_fingerprint(cfg))
+}
+
+/// [`warm_snapshot_seeded`] with `cfg`'s fork fingerprint supplied by a
+/// caller that already computed it.
+pub(crate) fn warm_snapshot_keyed(
+    cfg: &ExperimentConfig,
+    seed: u64,
+    at: SimTime,
+    fork_fp: u64,
+) -> Result<Snapshot, SnapshotError> {
     cfg.validate()
         .map_err(|e| SnapshotError::UnsupportedMode(format!("invalid configuration: {e}")))?;
     let mut engine = engine_for(cfg);
     let mut world = World::for_seed_summarized(cfg, seed);
     world.bootstrap(&mut engine);
     world.run_until(&mut engine, at);
-    world.snapshot(&engine)
+    world.snapshot_keyed(&engine, fork_fp)
 }
 
 /// Restores `snap` under the **same** configuration it was captured
@@ -4840,7 +4875,17 @@ pub fn fork_summary(
     cfg: &ExperimentConfig,
     snap: &Snapshot,
 ) -> Result<SummaryReport, SnapshotError> {
-    let (world, mut engine) = World::fork_with(cfg, snap)?;
+    fork_summary_keyed(cfg, snap, fork_fingerprint(cfg))
+}
+
+/// [`fork_summary`] with `cfg`'s fork fingerprint supplied by a caller
+/// that already computed it.
+pub(crate) fn fork_summary_keyed(
+    cfg: &ExperimentConfig,
+    snap: &Snapshot,
+    fork_fp: u64,
+) -> Result<SummaryReport, SnapshotError> {
+    let (world, mut engine) = World::fork_keyed(cfg, snap, fork_fp)?;
     Ok(world.resume_to_summary(&mut engine))
 }
 

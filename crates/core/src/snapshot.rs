@@ -148,9 +148,14 @@ impl Snapshot {
 /// output is deterministic for these config types (no maps), so equal
 /// configurations always fingerprint equally; the (vanishing) collision
 /// risk only weakens an error check, never correctness of a valid
-/// restore.
+/// restore. The rendering is streamed into the hash chunk by chunk, so
+/// the value equals FNV-1a over `format!("{cfg:?}")` without building
+/// that string.
 pub fn config_fingerprint(cfg: &ExperimentConfig) -> u64 {
-    fnv1a(format!("{cfg:?}").as_bytes())
+    use std::fmt::Write;
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    write!(h, "{cfg:?}").expect("hashing never fails");
+    h.0
 }
 
 /// The fork-invariant fingerprint: like [`config_fingerprint`] with
@@ -164,16 +169,20 @@ pub fn fork_fingerprint(cfg: &ExperimentConfig) -> u64 {
     c.sched.placement = String::new();
     c.sched.malleability = String::new();
     c.seed = 0;
-    fnv1a(format!("{c:?}").as_bytes())
+    config_fingerprint(&c)
 }
 
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// A 64-bit FNV-1a state that absorbs formatted text.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
     }
-    h
 }
 
 // ---------------------------------------------------------------------
@@ -475,5 +484,78 @@ mod tests {
         let mut c = a.clone();
         c.workload.jobs += 1;
         assert_ne!(fork_fingerprint(&a), fork_fingerprint(&c));
+    }
+
+    /// The hash the fingerprints were first defined as: FNV-1a over the
+    /// materialized Debug string.
+    fn reference_fnv1a(text: &str) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in text.as_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn streamed_fingerprints_equal_the_rendered_reference() {
+        use crate::config::{ExperimentConfig, FileSpec, NetworkConfig};
+        use appsim::workload::{SubmittedJob, WorkloadSpec};
+        use appsim::{AppKind, JobSpec};
+        use simcore::SimTime;
+
+        let mut cfgs = Vec::new();
+        for policy in ["fpsma", "egs"] {
+            for w in [WorkloadSpec::wm(), WorkloadSpec::wmr()] {
+                cfgs.push(ExperimentConfig::paper_pra(policy, w.clone()));
+                cfgs.push(ExperimentConfig::paper_pwa(policy, w));
+            }
+        }
+        let mut staged = ExperimentConfig::paper_pra("egs", WorkloadSpec::wm());
+        staged.name = "staged \"trace\"".into();
+        staged.seed = 42;
+        staged.trace = Some(
+            (0..50)
+                .map(|i| {
+                    let mut spec = JobSpec::rigid(AppKind::Gadget2, 4);
+                    spec.input_files = vec![i % 3];
+                    SubmittedJob {
+                        at: SimTime::from_secs(i * 17),
+                        spec,
+                    }
+                })
+                .collect(),
+        );
+        staged.network = Some(NetworkConfig {
+            topology: "das3".into(),
+            files: (0..3)
+                .map(|i| FileSpec {
+                    size_gb: 0.5 + f64::from(i),
+                    replicas: vec![i as u16, 4],
+                })
+                .collect(),
+            reconfig_gb_per_proc: 0.25,
+        });
+        cfgs.push(staged);
+
+        for cfg in &cfgs {
+            assert_eq!(
+                config_fingerprint(cfg),
+                reference_fnv1a(&format!("{cfg:?}")),
+                "{}",
+                cfg.name
+            );
+            let mut canon = cfg.clone();
+            canon.name = String::new();
+            canon.sched.placement = String::new();
+            canon.sched.malleability = String::new();
+            canon.seed = 0;
+            assert_eq!(
+                fork_fingerprint(cfg),
+                reference_fnv1a(&format!("{canon:?}")),
+                "{}",
+                cfg.name
+            );
+        }
     }
 }

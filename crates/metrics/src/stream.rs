@@ -365,6 +365,16 @@ impl StreamQuantiles {
         let priority = mix64(self.seed ^ mix64(self.pushed));
         self.pushed += 1;
         let e = (priority, x);
+        // A full reservoir keeps only keys below its largest; an equal
+        // key would be inserted and then truncated away as its twin.
+        if self.entries.len() == self.capacity
+            && self
+                .entries
+                .last()
+                .is_some_and(|l| Self::key(&e) >= Self::key(l))
+        {
+            return;
+        }
         let at = self
             .entries
             .partition_point(|p| Self::key(p) < Self::key(&e));
@@ -837,5 +847,68 @@ mod tests {
         assert_eq!(one.lo(), 7.0);
         assert_eq!(one.hi(), 7.0);
         assert_eq!(format!("{one}"), "7.00 ± n/a");
+    }
+
+    /// `StreamQuantiles::push` as it was before the full-reservoir fast
+    /// path: always binary-search, insert, truncate.
+    fn push_by_insertion(q: &mut StreamQuantiles, x: f64) {
+        if x.is_nan() {
+            return;
+        }
+        let priority = mix64(q.seed ^ mix64(q.pushed));
+        q.pushed += 1;
+        let e = (priority, x);
+        let at = q
+            .entries
+            .partition_point(|p| StreamQuantiles::key(p) < StreamQuantiles::key(&e));
+        if at >= q.capacity {
+            return;
+        }
+        q.entries.insert(at, e);
+        q.entries.truncate(q.capacity);
+    }
+
+    /// Everything a reservoir holds, floats by bit pattern.
+    fn exact_state(q: &StreamQuantiles) -> (u64, usize, u64, Vec<(u64, u64)>) {
+        let entries = q.entries.iter().map(StreamQuantiles::key).collect();
+        (q.seed, q.capacity, q.pushed, entries)
+    }
+
+    proptest::proptest! {
+        /// The admission fast path leaves the same state as insertion,
+        /// starting from any reservoir — including ones (as merges of
+        /// same-seed shards produce) that already hold the exact entry
+        /// the next push draws, so ties on the largest key occur.
+        #[test]
+        fn fast_admission_matches_insertion(
+            seed in proptest::prelude::any::<u64>(),
+            capacity in 1usize..12,
+            pushed in 0u64..1000,
+            held in proptest::collection::vec((0usize..24, 0usize..4), 0..24),
+            samples in proptest::collection::vec(0usize..5, 0..60),
+        ) {
+            let values = [0.0, -0.0, 1.0, 2.5, f64::NAN];
+            // The first 12 candidates are priorities upcoming pushes
+            // draw; the rest are arbitrary.
+            let priority = |k: usize| {
+                if k < 12 {
+                    mix64(seed ^ mix64(pushed + k as u64))
+                } else {
+                    mix64(k as u64)
+                }
+            };
+            let mut entries: Vec<(u64, f64)> =
+                held.iter().map(|&(p, v)| (priority(p), values[v])).collect();
+            entries.sort_by_key(StreamQuantiles::key);
+            entries.truncate(capacity);
+            let state = StreamQuantilesState { seed, capacity, pushed, entries };
+            let mut fast = StreamQuantiles::from_state(state.clone());
+            let mut reference = StreamQuantiles::from_state(state);
+            for &v in &samples {
+                fast.push(values[v]);
+                push_by_insertion(&mut reference, values[v]);
+                proptest::prop_assert_eq!(exact_state(&fast), exact_state(&reference));
+            }
+        }
     }
 }

@@ -23,8 +23,10 @@ the change won and lost in the metric's `better` direction from
 BENCHMARK.json (ties count for neither); and a verdict: `better` or
 `worse` when the medians differ by more than the base's quartile
 distance in that direction, else `same`. It also says whether every
-`sim_*` value (with `--trace 1`, every count) matched pair for pair. The run length defaults to BENCHMARK.json's
-`run_seconds`. Nothing under perfbench/ and no BENCHMARK.json is changed.
+`sim_*` value (with `--trace 1`, every count) matched pair for pair;
+if any did not, it exits 1 once the report (and `--out`) is written.
+The run length defaults to BENCHMARK.json's `run_seconds`. Nothing
+under perfbench/ and no BENCHMARK.json is changed.
 """
 
 import argparse
@@ -163,6 +165,9 @@ def main():
         with open(args.out, "w") as f:
             json.dump(report, f, indent=1)
             f.write("\n")
+    mismatched = [w for w, r in report["workloads"].items() if r["mismatched"]]
+    if mismatched:
+        sys.exit("deterministic values differ between base and change on " + ", ".join(mismatched))
 
 
 if __name__ == "__main__":
