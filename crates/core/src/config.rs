@@ -1224,6 +1224,42 @@ mod tests {
     }
 
     #[test]
+    fn infinite_work_scale_and_file_size_are_config_errors() {
+        let mut cfg = ExperimentConfig::paper_pra("fpsma", WorkloadSpec::wm());
+        let mut trace = cfg.generate_workload_for_seed(1);
+        trace.truncate(4);
+        cfg.trace = Some(trace);
+        cfg.validate().unwrap();
+        for bad in [f64::INFINITY, f64::NAN, -2.0] {
+            let mut c = cfg.clone();
+            c.trace.as_mut().unwrap()[2].spec.work_scale = bad;
+            let err = c.validate().unwrap_err();
+            assert!(
+                matches!(&err, ConfigError::TraceJob { index: 2, reason } if reason.contains("finite")),
+                "{bad}: {err:?}"
+            );
+        }
+        cfg.network = Some(NetworkConfig {
+            topology: "das3".to_string(),
+            files: vec![FileSpec {
+                size_gb: 1.0,
+                replicas: vec![4],
+            }],
+            reconfig_gb_per_proc: 0.0,
+        });
+        cfg.validate().unwrap();
+        for bad in [f64::INFINITY, f64::NAN] {
+            let mut c = cfg.clone();
+            c.network.as_mut().unwrap().files[0].size_gb = bad;
+            let err = c.validate().unwrap_err();
+            assert!(
+                matches!(&err, ConfigError::NetworkFile { index: 0, reason } if reason.contains("finite")),
+                "{bad}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn approach_labels() {
         assert_eq!(Approach::Pra.label(), "PRA");
         assert_eq!(Approach::Pwa.label(), "PWA");

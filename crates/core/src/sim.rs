@@ -1167,7 +1167,7 @@ impl<'a> World<'a> {
                 }
             }
         }
-        engine.schedule_in(self.cfg.sched.queue_scan_period, Ev::QueueScan);
+        engine.schedule_in_lane(self.cfg.sched.queue_scan_period, Ev::QueueScan);
         if self.cfg.background.is_active() {
             for c in 0..self.mc.len() {
                 let cluster = ClusterId(c as u16);
@@ -1184,10 +1184,10 @@ impl<'a> World<'a> {
         // The elasticity layer: monitoring, autoscaling, failures.
         let e = &self.cfg.elasticity;
         if e.monitored() {
-            engine.schedule_in(e.monitor_period, Ev::MonitorSample);
+            engine.schedule_in_lane(e.monitor_period, Ev::MonitorSample);
         }
         if self.autoscaler.is_some() {
-            engine.schedule_in(e.autoscale_period, Ev::AutoscaleCycle);
+            engine.schedule_in_lane(e.autoscale_period, Ev::AutoscaleCycle);
         }
         if let Some(stream) = self.failures.as_mut() {
             let f = stream.next_event();
@@ -1201,7 +1201,7 @@ impl<'a> World<'a> {
             );
         }
         if self.faults.is_some() {
-            engine.schedule_in(self.cfg.sched.retry.orphan_sweep_period, Ev::OrphanSweep);
+            engine.schedule_in_lane(self.cfg.sched.retry.orphan_sweep_period, Ev::OrphanSweep);
         }
     }
 
@@ -1342,7 +1342,7 @@ impl<'a> World<'a> {
             Ev::QueueScan => {
                 self.scan_queue(engine);
                 if !self.done() {
-                    engine.schedule_in(self.cfg.sched.queue_scan_period, Ev::QueueScan);
+                    engine.schedule_in_lane(self.cfg.sched.queue_scan_period, Ev::QueueScan);
                 }
             }
             Ev::KisPoll => self.on_kis_poll(engine),
@@ -1460,7 +1460,7 @@ impl<'a> World<'a> {
             }
         }
         if !self.done() {
-            engine.schedule_in(self.cfg.sched.kis_poll_period, Ev::KisPoll);
+            engine.schedule_in_lane(self.cfg.sched.kis_poll_period, Ev::KisPoll);
         }
     }
 
@@ -1540,6 +1540,11 @@ impl<'a> World<'a> {
     /// or a PWA intervention actually invalidated it (the dirty flag),
     /// instead of once per queued job.
     fn scan_queue(&mut self, engine: &mut Engine<Ev>) {
+        // Every effect of a scan is gated on a queued job; most periodic
+        // scans find none, so skip the snapshot copy and buffer juggling.
+        if self.queue.is_empty() {
+            return;
+        }
         // Detach the scratch buffers from `self` for the duration of the
         // scan (they are re-attached at the end, keeping their capacity).
         let mut avail = std::mem::take(&mut self.scratch_avail);
@@ -2505,7 +2510,7 @@ impl<'a> World<'a> {
             self.capacity_freed(engine, cluster);
         }
         if !self.done() {
-            engine.schedule_in(self.cfg.sched.retry.orphan_sweep_period, Ev::OrphanSweep);
+            engine.schedule_in_lane(self.cfg.sched.retry.orphan_sweep_period, Ev::OrphanSweep);
         }
     }
 
@@ -3137,7 +3142,7 @@ impl<'a> World<'a> {
         self.collect
             .monitor_sample(now, utilization, self.queue.len());
         if !self.done() {
-            engine.schedule_in(self.cfg.elasticity.monitor_period, Ev::MonitorSample);
+            engine.schedule_in_lane(self.cfg.elasticity.monitor_period, Ev::MonitorSample);
         }
     }
 
@@ -3179,7 +3184,7 @@ impl<'a> World<'a> {
             }
         }
         if !self.done() {
-            engine.schedule_in(self.cfg.elasticity.autoscale_period, Ev::AutoscaleCycle);
+            engine.schedule_in_lane(self.cfg.elasticity.autoscale_period, Ev::AutoscaleCycle);
         }
     }
 

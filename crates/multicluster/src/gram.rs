@@ -398,9 +398,11 @@ impl ControlPlaneFaults {
             SimRng::seed_from_u64(self.hash_seed ^ class.salt() ^ seq.wrapping_mul(GOLDEN));
         let lost = rng.bool_with(p);
         let duplicated = rng.bool_with(self.spec.duplicate);
-        let jitter_ms = self.spec.max_jitter.as_millis();
-        let jitter = SimDuration::from_millis(rng.u64_below(jitter_ms + 1));
-        let dup_jitter = SimDuration::from_millis(rng.u64_below(jitter_ms + 1));
+        // `[0, max_jitter]` inclusive; at `u64::MAX` the range saturates
+        // to `[0, u64::MAX)` instead of wrapping to an empty one.
+        let jitter_bound = self.spec.max_jitter.as_millis().saturating_add(1);
+        let jitter = SimDuration::from_millis(rng.u64_below(jitter_bound));
+        let dup_jitter = SimDuration::from_millis(rng.u64_below(jitter_bound));
         MessageOutcome {
             delivered: !lost,
             duplicated,
@@ -583,6 +585,21 @@ mod tests {
             a.outcome(class, None, t) != c.outcome(class, None, t)
         });
         assert!(differs, "different seeds should diverge");
+    }
+
+    #[test]
+    fn largest_jitter_draws_without_overflow() {
+        let spec = ControlPlaneFaultSpec {
+            max_jitter: SimDuration::from_millis(u64::MAX),
+            ..lossy_spec()
+        };
+        let mut f = ControlPlaneFaults::new(spec, 2, SimRng::seed_from_u64(3));
+        for i in 0..64u64 {
+            let t = SimTime::ZERO + SimDuration::from_secs(i);
+            let o = f.outcome(MessageClass::ALL[(i % 6) as usize], None, t);
+            assert!(o.jitter.as_millis() < u64::MAX);
+            assert!(o.dup_jitter.as_millis() < u64::MAX);
+        }
     }
 
     #[test]

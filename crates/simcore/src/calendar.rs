@@ -136,8 +136,7 @@ impl<E> CalendarQueue<E> {
     /// assigned to it. Events inserted at equal times pop in insertion
     /// order.
     pub fn push(&mut self, time: SimTime, event: E) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         let day = self.day_of(time);
         if self.len == 0 || day < self.cursor_day {
             self.cursor_day = day;
@@ -183,19 +182,33 @@ impl<E> CalendarQueue<E> {
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_before(SimTime::MAX, u64::MAX)
+    }
+
+    /// Removes and returns the earliest event if its `(time, seq)` key
+    /// sorts before `(time, seq)`; otherwise leaves it queued and returns
+    /// `None`. The day scan stops at the bound's day, and the cursor
+    /// keeps what the scan proved: every day it passed is empty.
+    pub(crate) fn pop_before(&mut self, time: SimTime, seq: u64) -> Option<(SimTime, E)> {
         if self.len == 0 {
             return None;
         }
+        let bound = (time, seq);
+        let bound_day = self.day_of(time);
         let mut day = self.cursor_day;
         for _ in 0..self.buckets.len() {
+            if day > bound_day {
+                self.cursor_day = day;
+                return None;
+            }
             let b = self.bucket_of_day(day);
             if let Some(head) = self.buckets[b].front() {
                 if head.time.as_millis() / self.width == day {
-                    let e = self.buckets[b].pop_front().expect("head exists");
                     self.cursor_day = day;
-                    self.len -= 1;
-                    self.maybe_shrink();
-                    return Some((e.time, e.event));
+                    if (head.time, head.seq) >= bound {
+                        return None;
+                    }
+                    return Some(self.pop_head(b));
                 }
             }
             match day.checked_add(1) {
@@ -206,18 +219,27 @@ impl<E> CalendarQueue<E> {
         // A whole year without a hit: every pending event is beyond the
         // current year. Direct search over the bucket heads (each bucket is
         // sorted, so its head is its minimum).
-        let (best, _, _) = self
+        let (best, t, s) = self
             .buckets
             .iter()
             .enumerate()
             .filter_map(|(i, b)| b.front().map(|h| (i, h.time, h.seq)))
             .min_by_key(|&(_, t, s)| (t, s))
             .expect("len > 0 implies a pending entry");
-        let e = self.buckets[best].pop_front().expect("head exists");
-        self.cursor_day = self.day_of(e.time);
+        self.cursor_day = self.day_of(t);
+        if (t, s) >= bound {
+            return None;
+        }
+        Some(self.pop_head(best))
+    }
+
+    /// Pops the head of bucket `b`, which the caller found to be the
+    /// earliest pending entry (the cursor already sits on its day).
+    fn pop_head(&mut self, b: usize) -> (SimTime, E) {
+        let e = self.buckets[b].pop_front().expect("head exists");
         self.len -= 1;
         self.maybe_shrink();
-        Some((e.time, e.event))
+        (e.time, e.event)
     }
 
     /// Timestamp of the earliest pending event, if any. Read-only version
@@ -260,6 +282,15 @@ impl<E> CalendarQueue<E> {
     /// see [`EventQueue::next_seq`](crate::EventQueue::next_seq).
     pub fn next_seq(&self) -> u64 {
         self.next_seq
+    }
+
+    /// Assigns the next sequence number without queueing an entry, for
+    /// an event held outside the queue (the engine's fixed-delay lanes)
+    /// that must still order against queued events by `(time, seq)`.
+    pub(crate) fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
     /// Cancels the pending event identified by `(time, seq)` and returns

@@ -29,9 +29,24 @@
 //! Keeping the world outside the engine sidesteps every borrow conflict
 //! between "handle this event" and "schedule follow-up events", and lets
 //! each crate in the workspace define its own event enum.
+//!
+//! ## Fixed-delay lanes
+//!
+//! Periodic timers (a KIS poll or queue scan every 10 s) make up a large
+//! share of a simulation's events, and each re-arms itself with the same
+//! delay. [`Engine::schedule_in_lane`] appends such an event to a FIFO
+//! *lane* keyed by its exact delay instead of pushing it into the queue
+//! backend. Because the clock never goes backwards, `now + delay` never
+//! decreases along a lane, so every lane is sorted by `(time, seq)` by
+//! construction. Lane events take their sequence numbers from the
+//! backend's counter, and [`Engine::pop`] delivers the minimum
+//! `(time, seq)` of the backend's head and the lane heads — the pop order
+//! is exactly what it would be had every event gone through the backend.
+
+use std::collections::VecDeque;
 
 use crate::calendar::{CalendarQueue, CalendarTuning};
-use crate::queue::EventQueue;
+use crate::queue::{Entry, EventQueue};
 use crate::time::{SimDuration, SimTime};
 
 /// Counters the engine maintains about a run; cheap enough to keep always.
@@ -129,6 +144,22 @@ impl<E> Backend<E> {
         }
     }
 
+    #[inline]
+    fn pop_before(&mut self, time: SimTime, seq: u64) -> Option<(SimTime, E)> {
+        match self {
+            Backend::Heap(q) => q.pop_before(time, seq),
+            Backend::Calendar(q) => q.pop_before(time, seq),
+        }
+    }
+
+    #[inline]
+    fn take_seq(&mut self) -> u64 {
+        match self {
+            Backend::Heap(q) => q.take_seq(),
+            Backend::Calendar(q) => q.take_seq(),
+        }
+    }
+
     fn peek_time(&self) -> Option<SimTime> {
         match self {
             Backend::Heap(q) => q.peek_time(),
@@ -172,15 +203,27 @@ impl<E> Backend<E> {
     }
 }
 
+/// The events scheduled with one fixed delay through
+/// [`Engine::schedule_in_lane`], in `(time, seq)` order.
+struct Lane<E> {
+    delay: SimDuration,
+    entries: VecDeque<Entry<E>>,
+}
+
 /// A full capture of an [`Engine`]'s state, produced by
 /// [`Engine::capture_state`] and consumed by [`Engine::restore_state`].
 ///
 /// The entry list is in pop order (`(time, seq)` ascending) with heap
 /// tombstones already dropped — cancelled events are gone from the
 /// engine's observable behaviour, so they are not part of its state.
+/// Events waiting in fixed-delay lanes are merged into the list; a
+/// restored engine holds them all in its queue backend (lanes are an
+/// internal routing choice, not state).
 /// `calendar_tuning` is present exactly when `queue_impl` is
 /// [`QueueImpl::Calendar`] (the calendar's adaptive layout is
-/// history-dependent; see [`CalendarTuning`]).
+/// history-dependent; see [`CalendarTuning`]); its `cursor_day` is
+/// lowered to the earliest lane head's day, so the restored calendar's
+/// scan cursor never sits past a pending entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot<E> {
     /// The clock at capture time.
@@ -208,6 +251,9 @@ pub struct EngineSnapshot<E> {
 pub struct Engine<E> {
     now: SimTime,
     queue: Backend<E>,
+    /// Fixed-delay FIFO lanes, one per distinct delay (a handful at
+    /// most); see the module docs.
+    lanes: Vec<Lane<E>>,
     horizon: SimTime,
     stats: EngineStats,
 }
@@ -259,6 +305,7 @@ impl<E> Engine<E> {
         Engine {
             now: SimTime::ZERO,
             queue: Backend::with_capacity(queue, cap),
+            lanes: Vec::new(),
             horizon: horizon.unwrap_or(SimTime::MAX),
             stats: EngineStats::default(),
         }
@@ -287,12 +334,12 @@ impl<E> Engine<E> {
 
     /// Number of pending events.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.lanes.iter().map(|l| l.entries.len()).sum::<usize>()
     }
 
     /// True when no events are pending.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
+        self.queue.is_empty() && self.lanes.iter().all(|l| l.entries.is_empty())
     }
 
     /// Schedules `event` at the absolute instant `at`.
@@ -323,6 +370,52 @@ impl<E> Engine<E> {
         self.schedule_at(self.now + delay, event);
     }
 
+    /// Schedules `event` after `delay` on the FIFO lane for that exact
+    /// delay (see the module docs) — for periodic timers, which re-arm
+    /// with the same delay every time. Pop order, horizon and counters
+    /// are exactly as with [`Engine::schedule_in`]; the difference is
+    /// cost: an append to a short deque instead of a queue insertion.
+    /// Lane events cannot be cancelled.
+    pub fn schedule_in_lane(&mut self, delay: SimDuration, event: E) {
+        let time = self.now + delay;
+        if time >= self.horizon {
+            self.stats.beyond_horizon += 1;
+            return;
+        }
+        self.stats.scheduled += 1;
+        let seq = self.queue.take_seq();
+        let lane = match self.lanes.iter().position(|l| l.delay == delay) {
+            Some(i) => &mut self.lanes[i],
+            None => {
+                self.lanes.push(Lane {
+                    delay,
+                    entries: VecDeque::new(),
+                });
+                self.lanes.last_mut().expect("lane just pushed")
+            }
+        };
+        debug_assert!(
+            lane.entries.back().is_none_or(|b| b.time <= time),
+            "lane went backwards"
+        );
+        lane.entries.push_back(Entry { time, seq, event });
+    }
+
+    /// The lane whose head is the earliest lane event, with that head's
+    /// `(time, seq)` key.
+    #[inline]
+    fn lane_head(&self) -> Option<(usize, SimTime, u64)> {
+        let mut best: Option<(usize, SimTime, u64)> = None;
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(h) = lane.entries.front() {
+                if best.is_none_or(|(_, t, s)| (h.time, h.seq) < (t, s)) {
+                    best = Some((i, h.time, h.seq));
+                }
+            }
+        }
+        best
+    }
+
     /// Like [`Engine::schedule_in`], but returns a cancellation handle
     /// (see [`Engine::schedule_at_tracked`]).
     pub fn schedule_in_tracked(&mut self, delay: SimDuration, event: E) -> Option<EventHandle> {
@@ -351,7 +444,16 @@ impl<E> Engine<E> {
 
     /// Pops the earliest event and advances the clock to it.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (t, e) = self.queue.pop()?;
+        let (t, e) = match self.lane_head() {
+            None => self.queue.pop()?,
+            Some((i, time, seq)) => match self.queue.pop_before(time, seq) {
+                Some(hit) => hit,
+                None => {
+                    let head = self.lanes[i].entries.pop_front().expect("lane head");
+                    (head.time, head.event)
+                }
+            },
+        };
         debug_assert!(t >= self.now, "event queue went backwards");
         self.now = t;
         self.stats.delivered += 1;
@@ -360,7 +462,8 @@ impl<E> Engine<E> {
 
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
+        let lane = self.lane_head().map(|(_, t, _)| t);
+        self.queue.peek_time().into_iter().chain(lane).min()
     }
 
     /// Drops every pending event (the clock keeps its value).
@@ -377,6 +480,9 @@ impl<E> Engine<E> {
     ///   [`EventQueue::clear`]).
     pub fn clear(&mut self) {
         self.queue.clear();
+        for lane in &mut self.lanes {
+            lane.entries.clear();
+        }
     }
 
     /// Captures the engine's complete state — clock, horizon, counters,
@@ -388,10 +494,18 @@ impl<E> Engine<E> {
     where
         E: Clone,
     {
-        let (next_seq, entries, calendar_tuning) = match &self.queue {
+        let (next_seq, mut entries, mut calendar_tuning) = match &self.queue {
             Backend::Heap(q) => (q.next_seq(), q.capture_entries(), None),
             Backend::Calendar(q) => (q.next_seq(), q.capture_entries(), Some(q.tuning())),
         };
+        if let Some(tuning) = calendar_tuning.as_mut() {
+            if let Some((_, t, _)) = self.lane_head() {
+                tuning.cursor_day = tuning.cursor_day.min(t.as_millis() / tuning.width_ms);
+            }
+        }
+        let lanes = self.lanes.iter().flat_map(|l| &l.entries);
+        entries.extend(lanes.map(|e| (e.time, e.seq, e.event.clone())));
+        entries.sort_by_key(|&(t, s, _)| (t, s));
         EngineSnapshot {
             now: self.now,
             horizon: self.horizon,
@@ -427,6 +541,7 @@ impl<E> Engine<E> {
         Engine {
             now: snap.now,
             queue,
+            lanes: Vec::new(),
             horizon: snap.horizon,
             stats: snap.stats,
         }

@@ -78,8 +78,7 @@ impl<E> EventQueue<E> {
     /// assigned to it. Events inserted at equal times pop in insertion
     /// order.
     pub fn push(&mut self, time: SimTime, event: E) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         self.heap.push(Reverse(Entry { time, seq, event }));
         seq
     }
@@ -89,6 +88,15 @@ impl<E> EventQueue<E> {
         let out = self.heap.pop().map(|Reverse(e)| (e.time, e.event));
         self.drain_cancelled_top();
         out
+    }
+
+    /// Removes and returns the earliest event if its `(time, seq)` key
+    /// sorts before `(time, seq)`; otherwise returns `None`.
+    pub(crate) fn pop_before(&mut self, time: SimTime, seq: u64) -> Option<(SimTime, E)> {
+        match self.heap.peek() {
+            Some(Reverse(top)) if (top.time, top.seq) < (time, seq) => self.pop(),
+            _ => None,
+        }
     }
 
     /// Timestamp of the earliest pending event, if any.
@@ -112,6 +120,15 @@ impl<E> EventQueue<E> {
     /// both queue implementations assign identical sequences.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
+    }
+
+    /// Assigns the next sequence number without queueing an entry, for
+    /// an event held outside the queue (the engine's fixed-delay lanes)
+    /// that must still order against queued events by `(time, seq)`.
+    pub(crate) fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
     /// Cancels the pending event identified by `(time, seq)` — the values

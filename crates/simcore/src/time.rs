@@ -40,7 +40,8 @@ impl SimTime {
     }
 
     /// Builds an instant from fractional seconds, rounding to the nearest
-    /// millisecond. Negative values clamp to zero.
+    /// millisecond. Negative values and NaN clamp to zero; +inf and
+    /// values past the range saturate at [`SimTime::MAX`].
     pub fn from_secs_f64(s: f64) -> Self {
         SimTime(secs_to_millis(s))
     }
@@ -92,7 +93,8 @@ impl SimDuration {
     }
 
     /// Builds a span from fractional seconds, rounding to the nearest
-    /// millisecond. Negative values clamp to zero.
+    /// millisecond. Negative values and NaN clamp to zero; +inf and
+    /// values past the range saturate at [`SimDuration::MAX`].
     pub fn from_secs_f64(s: f64) -> Self {
         SimDuration(secs_to_millis(s))
     }
@@ -118,11 +120,14 @@ impl SimDuration {
     }
 }
 
+/// Seconds to whole milliseconds, rounding half-up. Monotone: NaN and
+/// non-positive values clamp to zero, and huge values (+inf included)
+/// saturate at `u64::MAX` — an infinite span is never free.
 fn secs_to_millis(s: f64) -> u64 {
-    if !s.is_finite() || s <= 0.0 {
+    if s.is_nan() || s <= 0.0 {
         return 0;
     }
-    // Round half-up; the cast saturates at u64::MAX for huge values.
+    // The float-to-int cast saturates at u64::MAX (and maps +inf there).
     (s * 1000.0).round() as u64
 }
 
@@ -216,6 +221,12 @@ mod tests {
             SimDuration::from_secs_f64(f64::NEG_INFINITY),
             SimDuration::ZERO
         );
+    }
+
+    #[test]
+    fn infinite_seconds_saturate() {
+        assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::MAX);
+        assert_eq!(SimTime::from_secs_f64(1e300), SimTime::MAX);
     }
 
     #[test]

@@ -95,6 +95,32 @@ proptest! {
         }
     }
 
+    /// Seconds-to-milliseconds conversion is monotone over the whole
+    /// range (+inf included), saturates at the top instead of wrapping to
+    /// zero, and never rounds a span of half a millisecond or more to
+    /// zero — a huge or infinite cost is never free.
+    #[test]
+    fn secs_to_millis_is_monotone_and_saturating(
+        m1 in 0.5f64..10.0,
+        e1 in -5i32..25,
+        m2 in 0.5f64..10.0,
+        e2 in -5i32..25,
+    ) {
+        let (a, b) = (m1 * 10f64.powi(e1), m2 * 10f64.powi(e2));
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        let (dl, dh) = (SimDuration::from_secs_f64(lo), SimDuration::from_secs_f64(hi));
+        prop_assert!(dl <= dh, "{lo} s -> {dl:?} but {hi} s -> {dh:?}");
+        prop_assert!(dh <= SimDuration::from_secs_f64(f64::INFINITY));
+        prop_assert!(SimTime::from_secs_f64(lo) <= SimTime::from_secs_f64(hi));
+        for s in [lo, hi] {
+            if s >= 0.0005 {
+                prop_assert!(!SimDuration::from_secs_f64(s).is_zero(), "{s} s -> 0 ms");
+            }
+        }
+        prop_assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::MAX);
+        prop_assert_eq!(SimTime::from_secs_f64(f64::INFINITY), SimTime::MAX);
+    }
+
     /// Forked streams never reproduce their sibling's output prefix.
     #[test]
     fn forks_diverge(seed in any::<u64>()) {

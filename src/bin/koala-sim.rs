@@ -119,10 +119,13 @@ fn run(
         eprintln!("invalid configuration: {e}");
         return ExitCode::FAILURE;
     }
+    // An explicit trace replaces the generated workload, and with it
+    // `workload.jobs`.
+    let jobs = cfg.trace.as_ref().map_or(cfg.workload.jobs, Vec::len);
     println!(
         "{}: {} jobs x {} seeds on DAS-3 ({} placement, {} policy, {} approach)",
         cfg.name,
-        cfg.workload.jobs,
+        jobs,
         seeds.len(),
         cfg.sched.placement,
         cfg.sched.malleability,

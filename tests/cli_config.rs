@@ -56,3 +56,55 @@ fn initiative_fraction_out_of_range_is_a_config_error() {
         );
     }
 }
+
+/// The `koala-sim init` template.
+fn template() -> koala::config::ExperimentConfig {
+    koala::config::ExperimentConfig::paper_pra("egs", appsim::workload::WorkloadSpec::wm())
+}
+
+/// Writes `cfg` as a config file, runs `koala-sim run` on it with one
+/// seed, and returns the exit code, stdout and stderr.
+fn run_config(tag: &str, cfg: &koala::config::ExperimentConfig) -> (Option<i32>, String, String) {
+    let path: PathBuf =
+        std::env::temp_dir().join(format!("koala-cli-{}-{tag}.json", std::process::id()));
+    let json = serde_json::to_string_pretty(cfg).expect("config serializes");
+    std::fs::write(&path, json).expect("config written");
+    let out = Command::new(BIN)
+        .arg("run")
+        .arg(&path)
+        .args(["--seeds", "1"])
+        .output()
+        .expect("koala-sim runs");
+    let _ = std::fs::remove_file(&path);
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn run_header_counts_the_trace_not_workload_jobs() {
+    let mut cfg = template();
+    cfg.workload.jobs = 300;
+    let mut trace = cfg.generate_workload_for_seed(cfg.seed);
+    trace.truncate(6);
+    cfg.trace = Some(trace);
+    let (code, stdout, stderr) = run_config("trace-header", &cfg);
+    assert_eq!(code, Some(0), "{stderr}");
+    let header = stdout.lines().next().unwrap_or_default();
+    assert!(header.contains(": 6 jobs x 1 seeds"), "{header}");
+}
+
+#[test]
+fn largest_ctrl_jitter_does_not_panic() {
+    let mut cfg = template();
+    cfg.workload.jobs = 20;
+    cfg.elasticity.ctrl_faults = Some(multicluster::ControlPlaneFaultSpec {
+        max_jitter: simcore::SimDuration::MAX,
+        ..multicluster::ControlPlaneFaultSpec::uniform(0.0)
+    });
+    let (code, _stdout, stderr) = run_config("max-jitter", &cfg);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(code, Some(0), "{stderr}");
+}
